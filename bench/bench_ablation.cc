@@ -105,20 +105,19 @@ main()
     const auto aligned = core::alignTissues(sub_layers, mts);
 
     auto time_plan = [&](const std::vector<std::size_t> &tissues) {
-        runtime::ExecutionPlan plan;
-        plan.kind = runtime::PlanKind::InterCell;
-        runtime::LayerInterPlan ip;
+        runtime::PresetLayer in;
         // Clamp formation's fat tissues at the hardware limit the way a
         // naive implementation would (split overflow into extra
         // tissues).
         for (std::size_t t : tissues) {
             while (t > mts) {
-                ip.tissueSizes.push_back(mts);
+                in.tissueSizes.push_back(mts);
                 t -= mts;
             }
-            ip.tissueSizes.push_back(t);
+            in.tissueSizes.push_back(t);
         }
-        plan.inter = {ip};
+        const runtime::ExecutionPlan plan = runtime::ExecutionPlan::preset(
+            runtime::PlanKind::InterCell, {in});
         return mf->executor()
             .runLayer({512, 512, 80}, plan, 0)
             .result.timeUs;

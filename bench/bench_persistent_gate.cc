@@ -27,27 +27,25 @@ using namespace mflstm::bench;
 /**
  * The synthetic preset construction the conservation sweep uses:
  * aligned tissues of four cells per layer. The persistent preset
- * derives its per-layer schedules from the same inter plan, so the two
+ * derives its per-layer schedules from the same tissues, so the two
  * plans differ ONLY in the residency axis.
  */
 runtime::ExecutionPlan
 tissuePlan(runtime::PlanKind kind, const runtime::NetworkShape &shape,
            quant::QuantMode qm)
 {
-    runtime::ExecutionPlan plan;
-    plan.kind = kind;
-    plan.quantMode = qm;
+    std::vector<runtime::PresetLayer> layers;
     for (const runtime::LstmLayerShape &layer : shape.layers) {
-        runtime::LayerInterPlan ip;
+        runtime::PresetLayer in;
         std::size_t left = layer.length;
         while (left > 0) {
             const std::size_t t = std::min<std::size_t>(4, left);
-            ip.tissueSizes.push_back(t);
+            in.tissueSizes.push_back(t);
             left -= t;
         }
-        plan.inter.push_back(std::move(ip));
+        layers.push_back(std::move(in));
     }
-    return plan;
+    return runtime::ExecutionPlan::preset(kind, layers, qm);
 }
 
 struct GateRow

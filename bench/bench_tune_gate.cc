@@ -3,7 +3,7 @@
  * Auto-scheduler acceptance gate (DESIGN.md §14): for every Table II
  * application, at fp32 and int8, run the tuner and check its dominance
  * guarantee end-to-end — the chosen plan must be no worse than the
- * best legacy preset on simulated time AND DRAM bytes, per app and in
+ * best preset on simulated time AND DRAM bytes, per app and in
  * geomean. Exit 1 on any violation, so CI fails when a search or cost
  * model regression lets the tuner pick a worse schedule than the
  * presets it replaces.

@@ -6,6 +6,18 @@
 namespace mflstm {
 namespace core {
 
+namespace {
+
+/** Kinds whose preset is projected from measured statistics. */
+bool
+statsDriven(runtime::PlanKind kind)
+{
+    return kind != runtime::PlanKind::Baseline &&
+           kind != runtime::PlanKind::ZeroPruning;
+}
+
+} // anonymous namespace
+
 MemoryFriendlyLstm::MemoryFriendlyLstm(const nn::LstmModel &accuracy_model,
                                        const Config &cfg)
     : cfg_(cfg), executor_(cfg_.gpu, cfg_.observer),
@@ -21,9 +33,7 @@ MemoryFriendlyLstm::MemoryFriendlyLstm(const nn::LstmModel &accuracy_model,
             "have the same layer count");
     }
 
-    runtime::ExecutionPlan base;
-    base.kind = runtime::PlanKind::Baseline;
-    baseline_ = executor_.run(cfg_.timingShape, base);
+    baseline_ = executor_.run(cfg_.timingShape, runtime::ExecutionPlan{});
 }
 
 const MemoryFriendlyLstm::Calibration &
@@ -87,45 +97,18 @@ MemoryFriendlyLstm::planFromStats(
     quant::QuantMode quant_mode, const runtime::NetworkExecutor &exec,
     obs::Observer *observer) const
 {
-    runtime::ExecutionPlan plan;
-    plan.kind = opts.kind;
-    // The lowering forces ZeroPruning back to fp32 (the CSR comparator
-    // is defined on full-precision weights); every other kind prices
-    // W/U traffic at this precision.
-    plan.quantMode = quant_mode;
+    PresetInputs in;
+    in.shape = cfg_.timingShape;
+    in.stats = stats;
+    in.modelHidden = runner_.model().config().hiddenSize;
+    in.quant = quant_mode;
+    in.pruneFraction = opts.pruneFraction;
+    if (!statsDriven(opts.kind))
+        return presetPlan(exec, opts.kind, in);
 
-    if (opts.kind == runtime::PlanKind::Baseline)
-        return plan;
-    if (opts.kind == runtime::PlanKind::ZeroPruning) {
-        plan.pruneFraction = opts.pruneFraction;
-        return plan;
-    }
-
-    const Calibration &cal = calibration();
-    const std::size_t model_hidden =
-        runner_.model().config().hiddenSize;
-
-    std::size_t mts = cal.mts;
-    if (opts.kind == runtime::PlanKind::Combined) {
-        // DRS relieves on-chip traffic inside the tissue GEMM, which
-        // raises the bandwidth-limited MTS; re-run the sweep with the
-        // measured mean skip fraction.
-        double skip = 0.0;
-        for (const LayerApproxStats &st : stats)
-            skip += st.skipFraction(model_hidden);
-        skip /= static_cast<double>(stats.size());
-        if (skip > 0.0) {
-            mts = findMts(exec, cfg_.timingShape.layers.front(), 12,
-                          skip)
-                      .mts;
-        }
-    }
-
+    in.mts = calibration().mts;
     auto ph = obs::Observer::phase(observer, "planning");
-    runtime::ExecutionPlan built =
-        buildPlan(opts.kind, stats, cfg_.timingShape, mts, model_hidden);
-    built.quantMode = quant_mode;
-    return built;
+    return presetPlan(exec, opts.kind, in);
 }
 
 TimingOutcome
@@ -148,7 +131,8 @@ MemoryFriendlyLstm::evaluateTiming(const TimingOptions &opts) const
     if (opts.kind == runtime::PlanKind::Baseline &&
         thresholds_.quant == quant::QuantMode::Fp32) {
         out.report = baseline_;
-        out.plan.kind = opts.kind;
+        out.plan = planFromStats(opts, runner_.stats(), thresholds_.quant,
+                                 exec, observer);
         out.speedup = 1.0;
         out.energySavingPct = 0.0;
         return out;
@@ -180,10 +164,7 @@ MemoryFriendlyLstm::snapshotRung(
     snap.runner.setQuantMode(set.quant);
     snap.runner.resetStats();
 
-    const bool needs_stats =
-        opts.kind != runtime::PlanKind::Baseline &&
-        opts.kind != runtime::PlanKind::ZeroPruning;
-    if (needs_stats) {
+    if (statsDriven(opts.kind)) {
         if (eval_seqs.empty())
             throw std::invalid_argument(
                 "snapshotRung: statistics-driven plan kind needs "

@@ -182,8 +182,8 @@ class MemoryFriendlyLstm
                  const TimingOptions &opts) const;
 
     /**
-     * @deprecated Positional form kept for source compatibility;
-     * delegates to evaluateTiming(const TimingOptions&).
+     * Positional form; delegates to evaluateTiming(const
+     * TimingOptions&).
      */
     TimingOutcome evaluateTiming(runtime::PlanKind kind,
                                  double prune_fraction = 0.37) const;

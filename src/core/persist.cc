@@ -250,12 +250,7 @@ loadCalibration(MemoryFriendlyLstm &mf, const std::string &path,
     try {
         const io::ArtifactReader reader(path, io::kSchemaCalibration,
                                         limits);
-        if (reader.schemaVersion() != kCalibrationSchemaVersion)
-            throw ArtifactError(
-                ErrorKind::BadVersion,
-                "loadCalibration: " + path +
-                    ": unsupported calibration schema version " +
-                    std::to_string(reader.schemaVersion()));
+        reader.requireSchemaVersion(kCalibrationSchemaVersion);
 
         ApproxRunner &runner = mf.runner();
         {
@@ -304,10 +299,7 @@ verifyCalibrationFile(const std::string &path,
 {
     const io::ArtifactReader reader(path, io::kSchemaCalibration,
                                     limits);
-    if (reader.schemaVersion() != kCalibrationSchemaVersion)
-        throw ArtifactError(ErrorKind::BadVersion,
-                            "verifyCalibrationFile: " + path +
-                                ": unsupported schema version");
+    reader.requireSchemaVersion(kCalibrationSchemaVersion);
 
     io::ByteReader fr = reader.chunk(kChunkFingerprint);
     const ModelFingerprint fp = readFingerprint(fr);

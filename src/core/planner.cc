@@ -26,19 +26,20 @@ runtime::ExecutionPlan
 buildPlan(runtime::PlanKind kind,
           const std::vector<LayerApproxStats> &stats,
           const runtime::NetworkShape &shape, std::size_t mts,
-          std::size_t model_hidden)
+          std::size_t model_hidden, quant::QuantMode quant,
+          double prune_fraction)
 {
     if (stats.size() != shape.layers.size())
         throw std::invalid_argument("buildPlan: stats/shape mismatch");
     if (model_hidden == 0)
         throw std::invalid_argument("buildPlan: zero model hidden");
 
-    runtime::ExecutionPlan plan;
-    plan.kind = kind;
+    runtime::ExecutionPlan probe;
+    probe.kind = kind;
+    const bool inter = probe.usesInter();
+    const bool intra = probe.usesIntra();
 
-    const bool inter = plan.usesInter();
-    const bool intra = plan.usesIntra();
-
+    std::vector<runtime::PresetLayer> layers(shape.layers.size());
     for (std::size_t l = 0; l < shape.layers.size(); ++l) {
         const std::size_t n = shape.layers[l].length;
 
@@ -48,18 +49,32 @@ buildPlan(runtime::PlanKind kind,
             const double rate = stats[l].breakRate();
             const auto parts = static_cast<std::size_t>(
                 std::round(rate * static_cast<double>(n - 1))) + 1;
-            runtime::LayerInterPlan ip;
-            ip.tissueSizes =
+            layers[l].tissueSizes =
                 alignTissues(evenSubLayers(n, parts), mts);
-            plan.inter.push_back(std::move(ip));
         }
-
-        if (intra) {
-            plan.intra.push_back(
-                {stats[l].skipFraction(model_hidden)});
-        }
+        if (intra)
+            layers[l].skipFraction = stats[l].skipFraction(model_hidden);
     }
-    return plan;
+    return runtime::ExecutionPlan::preset(kind, layers, quant,
+                                          prune_fraction);
+}
+
+runtime::ExecutionPlan
+presetPlan(const runtime::NetworkExecutor &exec, runtime::PlanKind kind,
+           const PresetInputs &in)
+{
+    std::size_t mts = in.mts;
+    if (kind == runtime::PlanKind::Combined && !in.stats.empty() &&
+        in.modelHidden) {
+        double skip = 0.0;
+        for (const LayerApproxStats &st : in.stats)
+            skip += st.skipFraction(in.modelHidden);
+        skip /= static_cast<double>(in.stats.size());
+        if (skip > 0.0)
+            mts = findMts(exec, in.shape.layers.front(), 12, skip).mts;
+    }
+    return buildPlan(kind, in.stats, in.shape, mts, in.modelHidden,
+                     in.quant, in.pruneFraction);
 }
 
 } // namespace core

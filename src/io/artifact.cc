@@ -521,6 +521,18 @@ ArtifactReader::has(std::uint32_t tag) const
     return false;
 }
 
+void
+ArtifactReader::requireSchemaVersion(std::uint32_t current) const
+{
+    if (schemaVersion_ == current)
+        return;
+    fail(schemaVersion_ < current ? ErrorKind::Stale
+                                  : ErrorKind::BadVersion,
+         "artifact: " + path_ + " has schema version " +
+             std::to_string(schemaVersion_) + ", this build reads " +
+             std::to_string(current));
+}
+
 ByteReader
 ArtifactReader::chunk(std::uint32_t tag) const
 {

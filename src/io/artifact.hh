@@ -49,7 +49,7 @@ std::uint32_t crc32(const void *data, std::size_t n,
 enum class ErrorKind {
     Io,                ///< open/read/write/rename failed
     BadMagic,          ///< not an artifact file at all
-    BadVersion,        ///< container version newer than this reader
+    BadVersion,        ///< container/schema version newer than this reader
     BadSchema,         ///< schema kind does not match the expectation
     BadHeader,         ///< header fields inconsistent with the file
     Truncated,         ///< declared data extends past the bytes present
@@ -58,6 +58,7 @@ enum class ErrorKind {
     NonFinite,         ///< payload tensors contain NaN/Inf
     Malformed,         ///< chunk/field structure is wrong
     Stale,             ///< valid file, but for a different model/config
+                       ///< or written under an older schema version
 };
 
 /** Stable lower-snake reason label (metrics, fsck output). */
@@ -234,6 +235,14 @@ class ArtifactReader
     const std::vector<ChunkInfo> &chunks() const { return chunks_; }
 
     bool has(std::uint32_t tag) const;
+
+    /**
+     * Every loader reads exactly one schema version (DESIGN.md §11).
+     * @throws ArtifactError Stale for an older version (a recomputable
+     * cache from an earlier build: callers quarantine and recompute),
+     * BadVersion for a newer one.
+     */
+    void requireSchemaVersion(std::uint32_t current) const;
 
     /** Payload reader for @p tag; throws Malformed when missing. */
     ByteReader chunk(std::uint32_t tag) const;

@@ -46,41 +46,24 @@ fsckFile(const std::string &path, const ArtifactLimits &limits,
     entry.path = path;
 
     std::uint32_t schema = 0;
-    if (isArtifactFile(path, &schema)) {
-        entry.format = schemaName(schema);
-        try {
-            const ArtifactReader reader(path, /*any schema*/ 0, limits);
-            entry.chunks = reader.chunks().size();
-            if (deep)
-                deep(path, reader.schemaKind());
-            entry.ok = true;
-        } catch (const ArtifactError &e) {
-            entry.detail = e.what();
-            entry.kind = e.kind();
-        } catch (const std::exception &e) {
-            entry.detail = e.what();
-            entry.kind = ErrorKind::Malformed;
-        }
-        return entry;
-    }
-
-    // Not a container: hand it to the deep verifier (legacy formats),
-    // or reject when there is none to claim it.
-    if (deep) {
-        try {
-            deep(path, 0);
-            entry.format = "legacy";
-            entry.ok = true;
-        } catch (const ArtifactError &e) {
-            entry.detail = e.what();
-            entry.kind = e.kind();
-        } catch (const std::exception &e) {
-            entry.detail = e.what();
-            entry.kind = ErrorKind::Malformed;
-        }
-    } else {
+    if (!isArtifactFile(path, &schema)) {
         entry.detail = "not an artifact container";
         entry.kind = ErrorKind::BadMagic;
+        return entry;
+    }
+    entry.format = schemaName(schema);
+    try {
+        const ArtifactReader reader(path, /*any schema*/ 0, limits);
+        entry.chunks = reader.chunks().size();
+        if (deep)
+            deep(path, reader.schemaKind());
+        entry.ok = true;
+    } catch (const ArtifactError &e) {
+        entry.detail = e.what();
+        entry.kind = e.kind();
+    } catch (const std::exception &e) {
+        entry.detail = e.what();
+        entry.kind = ErrorKind::Malformed;
     }
     return entry;
 }

@@ -106,11 +106,7 @@ QuantizedModel
 loadValidated(const std::string &path, const io::ArtifactLimits &limits)
 {
     io::ArtifactReader reader(path, io::kSchemaQuantModel, limits);
-    if (reader.schemaVersion() != kQuantSchemaVersion)
-        throw ArtifactError(ErrorKind::BadVersion,
-                            "loadQuantizedModel: " + path +
-                                ": unsupported schema version " +
-                                std::to_string(reader.schemaVersion()));
+    reader.requireSchemaVersion(kQuantSchemaVersion);
 
     io::ByteReader cfg = reader.chunk(kChunkConfig);
     QuantizedModel q;

@@ -1,7 +1,6 @@
 #include "runtime/plan.hh"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
 namespace mflstm {
@@ -69,67 +68,44 @@ NetworkShape::stacked(std::size_t embed_size, std::size_t hidden_size,
     return shape;
 }
 
-std::size_t
-LayerInterPlan::totalCells() const
+ExecutionPlan
+ExecutionPlan::preset(PlanKind kind, const std::vector<PresetLayer> &layers,
+                      quant::QuantMode quant, double prune_fraction)
 {
-    return std::accumulate(tissueSizes.begin(), tissueSizes.end(),
-                           std::size_t{0});
-}
+    if (kind == PlanKind::Tuned)
+        throw std::invalid_argument(
+            "ExecutionPlan::preset: Tuned is not a preset");
 
-std::size_t
-LayerInterPlan::maxTissue() const
-{
-    return tissueSizes.empty()
-               ? 0
-               : *std::max_element(tissueSizes.begin(), tissueSizes.end());
-}
-
-LayerSchedule
-ExecutionPlan::layerSchedule(std::size_t layer_index) const
-{
-    LayerSchedule ls;
-    if (hasExplicitDecisions()) {
-        if (layer_index < decisions.layers.size())
-            return decisions.layers[layer_index];
-        ls.quant = quantMode;
-        return ls;
+    ExecutionPlan plan;
+    plan.kind = kind;
+    const bool inter = plan.usesInter();
+    const bool intra = plan.usesIntra();
+    const bool crm = plan.usesCrmHardware();
+    plan.decisions.layers.reserve(layers.size());
+    for (const PresetLayer &in : layers) {
+        LayerSchedule ls;
+        ls.quant = quant;
+        if (kind == PlanKind::ZeroPruning) {
+            ls.quant = quant::QuantMode::Fp32;
+            ls.prunedCsr = true;
+            ls.pruneFraction = prune_fraction;
+        }
+        if (inter)
+            ls.tissueSizes = in.tissueSizes;
+        if (kind == PlanKind::Persistent) {
+            // The persistent preset targets the fast tier the persistent-
+            // RNN literature uses; the tuner also searches the shared tier.
+            ls.residency = WeightResidency::Regfile;
+        }
+        if (intra) {
+            ls.skipFraction = in.skipFraction;
+            ls.skipPath = crm ? SkipPath::HwCrm : SkipPath::Software;
+            ls.flagFusion = crm ? FlagFusion::FusedEpilogue
+                                : FlagFusion::Standalone;
+        }
+        plan.decisions.layers.push_back(std::move(ls));
     }
-
-    // Canonical preset derivation: exactly the conventions the lowering
-    // hard-coded before the decisions existed.
-    ls.quant = kind == PlanKind::ZeroPruning ? quant::QuantMode::Fp32
-                                             : quantMode;
-    if (kind == PlanKind::ZeroPruning) {
-        ls.prunedCsr = true;
-        ls.pruneFraction = pruneFraction;
-        return ls;
-    }
-    if (usesInter() && layer_index < inter.size())
-        ls.tissueSizes = inter[layer_index].tissueSizes;
-    if (kind == PlanKind::Persistent) {
-        // The persistent preset targets the fast tier the persistent-
-        // RNN literature uses; the tuner also searches the shared tier.
-        ls.residency = WeightResidency::Regfile;
-        return ls;
-    }
-    if (usesIntra() && layer_index < intra.size()) {
-        ls.skipFraction = intra[layer_index].skipFraction;
-        ls.skipPath = usesCrmHardware() ? SkipPath::HwCrm
-                                        : SkipPath::Software;
-        ls.flagFusion = usesCrmHardware() ? FlagFusion::FusedEpilogue
-                                          : FlagFusion::Standalone;
-    }
-    return ls;
-}
-
-ScheduleDecisions
-ExecutionPlan::explicitDecisions(std::size_t num_layers) const
-{
-    ScheduleDecisions d;
-    d.layers.reserve(num_layers);
-    for (std::size_t l = 0; l < num_layers; ++l)
-        d.layers.push_back(layerSchedule(l));
-    return d;
+    return plan;
 }
 
 ExecutionPlan
@@ -139,15 +115,70 @@ ExecutionPlan::fromDecisions(ScheduleDecisions d)
 
     ExecutionPlan plan;
     plan.kind = PlanKind::Tuned;
-    if (!d.layers.empty()) {
-        const quant::QuantMode q0 = d.layers.front().quant;
-        const bool uniform = std::all_of(
-            d.layers.begin(), d.layers.end(),
-            [&](const LayerSchedule &l) { return l.quant == q0; });
-        plan.quantMode = uniform ? q0 : quant::QuantMode::Fp32;
-    }
     plan.decisions = std::move(d);
     return plan;
+}
+
+LayerSchedule
+ExecutionPlan::layerSchedule(std::size_t layer_index) const
+{
+    if (layer_index < decisions.layers.size())
+        return decisions.layers[layer_index];
+    LayerSchedule ls;
+    ls.quant = quantMode();
+    return ls;
+}
+
+quant::QuantMode
+ExecutionPlan::quantMode() const
+{
+    const std::vector<LayerSchedule> &layers = decisions.layers;
+    if (layers.empty())
+        return quant::QuantMode::Fp32;
+    const quant::QuantMode q0 = layers.front().quant;
+    const bool uniform =
+        std::all_of(layers.begin(), layers.end(),
+                    [&](const LayerSchedule &l) { return l.quant == q0; });
+    return uniform ? q0 : quant::QuantMode::Fp32;
+}
+
+bool
+ExecutionPlan::usesInter() const
+{
+    if (decisions.empty()) {
+        // The persistent preset rides the tissue schedule: its waves
+        // are the DRS-relaxed tissue waves.
+        return kind == PlanKind::InterCell || kind == PlanKind::Combined ||
+               kind == PlanKind::Persistent;
+    }
+    return std::any_of(decisions.layers.begin(), decisions.layers.end(),
+                       [](const LayerSchedule &l) {
+                           return l.usesTissues();
+                       });
+}
+
+bool
+ExecutionPlan::usesIntra() const
+{
+    if (decisions.empty()) {
+        return kind == PlanKind::IntraCellSw ||
+               kind == PlanKind::IntraCellHw || kind == PlanKind::Combined;
+    }
+    return std::any_of(decisions.layers.begin(), decisions.layers.end(),
+                       [](const LayerSchedule &l) {
+                           return l.skipPath != SkipPath::Off;
+                       });
+}
+
+bool
+ExecutionPlan::usesCrmHardware() const
+{
+    if (decisions.empty())
+        return kind == PlanKind::IntraCellHw || kind == PlanKind::Combined;
+    return std::any_of(decisions.layers.begin(), decisions.layers.end(),
+                       [](const LayerSchedule &l) {
+                           return l.skipPath == SkipPath::HwCrm;
+                       });
 }
 
 } // namespace runtime

@@ -10,20 +10,12 @@ namespace sched {
 namespace {
 
 /**
- * Schema history:
- *  v1 — initial tuned-plan artifact.
- *  v2 — appends a per-layer weight-residency tag to the decision chunk
- *       and the residency cost-model fields to the GpuConfig chunk.
- *  v3 — appends the hw registry backend id to the fingerprint chunk and
- *       the backend capability flags (int8 dot units, explicit weight
- *       memory) to the GpuConfig chunk.
- * Older files still load: v1's appended fields default to "no
- * residency", v2's to "no recorded backend" (the GpuConfig byte compare
- * remains the staleness guard there) and "no capability flags", which
- * is exactly what those writers simulated.
+ * The one schema version this build reads and writes (DESIGN.md §11):
+ * fingerprint with the hw registry backend id, the GpuConfig including
+ * the residency cost-model fields and capability flags, and per-layer
+ * decisions carrying a weight-residency tag. Older files are Stale.
  */
 constexpr std::uint32_t kVersion = 3;
-constexpr std::uint32_t kMinVersion = 1;
 
 const std::uint32_t kChunkFingerprint = io::fourcc('T', 'F', 'P', 'R');
 const std::uint32_t kChunkGpu = io::fourcc('T', 'G', 'P', 'U');
@@ -38,22 +30,14 @@ fail(io::ErrorKind kind, const std::string &msg)
     throw io::ArtifactError(kind, "tuned plan: " + msg);
 }
 
-void
-writeString(io::ByteWriter &w, const std::string &s)
+[[noreturn]] void
+codecFail(io::ErrorKind kind, const std::string &msg)
 {
-    w.u8Array({reinterpret_cast<const std::int8_t *>(s.data()),
-               s.size()});
+    throw io::ArtifactError(kind, "plan codec: " + msg);
 }
 
-std::string
-readString(io::ByteReader &r)
-{
-    const std::vector<std::int8_t> raw = r.u8Array();
-    if (raw.empty())
-        return {};
-    return std::string(reinterpret_cast<const char *>(raw.data()),
-                       raw.size());
-}
+/// deeper than any network this repo builds, far below any allocation risk
+constexpr std::uint64_t kMaxLayers = 1024;
 
 void
 checkFinite(double v, const char *what)
@@ -80,11 +64,11 @@ writeFingerprint(io::ByteWriter &w, const TunedPlanFingerprint &fp)
     w.u64(fp.batch);
     w.u64(fp.mts);
     w.u64(fp.modelHidden);
-    writeString(w, fp.backendId);  // v3
+    writeString(w, fp.backendId);
 }
 
 TunedPlanFingerprint
-readFingerprint(io::ByteReader &r, std::uint32_t version)
+readFingerprint(io::ByteReader &r, const io::ArtifactLimits &limits)
 {
     TunedPlanFingerprint fp;
     fp.weightsCrc = r.u32();
@@ -94,108 +78,12 @@ readFingerprint(io::ByteReader &r, std::uint32_t version)
     fp.batch = r.u64();
     fp.mts = r.u64();
     fp.modelHidden = r.u64();
-    if (version >= 3)
-        fp.backendId = readString(r);
+    fp.backendId = readString(r);
     r.expectEnd();
+    // The batch is simulated by checkMeasured: bound it first.
+    if (fp.batch == 0 || fp.batch > limits.maxDim)
+        fail(io::ErrorKind::LimitExceeded, "batch out of range");
     return fp;
-}
-
-void
-writeShape(io::ByteWriter &w, const runtime::NetworkShape &shape)
-{
-    w.u64(shape.layers.size());
-    for (const runtime::LstmLayerShape &l : shape.layers) {
-        w.u64(l.inputSize);
-        w.u64(l.hiddenSize);
-        w.u64(l.length);
-    }
-}
-
-runtime::NetworkShape
-readShape(io::ByteReader &r)
-{
-    runtime::NetworkShape shape;
-    const std::uint64_t count = r.u64();
-    if (!count || count > 1024)
-        fail(io::ErrorKind::Malformed, "implausible layer count");
-    shape.layers.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        runtime::LstmLayerShape l;
-        l.inputSize = r.u64();
-        l.hiddenSize = r.u64();
-        l.length = r.u64();
-        shape.layers.push_back(l);
-    }
-    r.expectEnd();
-    return shape;
-}
-
-void
-writeDecisions(io::ByteWriter &w,
-               const runtime::ScheduleDecisions &decisions)
-{
-    w.u64(decisions.layers.size());
-    for (const runtime::LayerSchedule &ls : decisions.layers) {
-        std::vector<std::uint64_t> sizes(ls.tissueSizes.begin(),
-                                         ls.tissueSizes.end());
-        w.u64Array(sizes);
-        w.u32(static_cast<std::uint32_t>(ls.skipPath));
-        w.f64(ls.skipFraction);
-        w.u32(static_cast<std::uint32_t>(ls.flagFusion));
-        w.u32(static_cast<std::uint32_t>(ls.quant));
-        w.u32(ls.prunedCsr ? 1 : 0);
-        w.f64(ls.pruneFraction);
-        w.u64(ls.batch);
-        w.u32(static_cast<std::uint32_t>(ls.residency));  // v2
-    }
-}
-
-runtime::ScheduleDecisions
-readDecisions(io::ByteReader &r, std::uint32_t version)
-{
-    runtime::ScheduleDecisions decisions;
-    const std::uint64_t count = r.u64();
-    if (!count || count > 1024)
-        fail(io::ErrorKind::Malformed, "implausible decision count");
-    decisions.layers.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        runtime::LayerSchedule ls;
-        const std::vector<std::uint64_t> sizes = r.u64Array();
-        ls.tissueSizes.assign(sizes.begin(), sizes.end());
-        const std::uint32_t path = r.u32();
-        if (path > static_cast<std::uint32_t>(
-                       runtime::SkipPath::HwCrm))
-            fail(io::ErrorKind::Malformed, "unknown skip path");
-        ls.skipPath = static_cast<runtime::SkipPath>(path);
-        ls.skipFraction = r.f64();
-        const std::uint32_t fusion = r.u32();
-        if (fusion > static_cast<std::uint32_t>(
-                         runtime::FlagFusion::FusedEpilogue))
-            fail(io::ErrorKind::Malformed, "unknown flag fusion");
-        ls.flagFusion = static_cast<runtime::FlagFusion>(fusion);
-        const std::uint32_t qm = r.u32();
-        if (qm > static_cast<std::uint32_t>(quant::QuantMode::Int4))
-            fail(io::ErrorKind::Malformed, "unknown quant mode");
-        ls.quant = static_cast<quant::QuantMode>(qm);
-        ls.prunedCsr = r.u32() != 0;
-        ls.pruneFraction = r.f64();
-        ls.batch = r.u64();
-        if (version >= 2) {
-            const std::uint32_t res = r.u32();
-            if (res > static_cast<std::uint32_t>(
-                          runtime::WeightResidency::Regfile))
-                fail(io::ErrorKind::Malformed, "unknown residency");
-            ls.residency = static_cast<runtime::WeightResidency>(res);
-        }
-        decisions.layers.push_back(std::move(ls));
-    }
-    r.expectEnd();
-    try {
-        decisions.validate();
-    } catch (const std::invalid_argument &e) {
-        fail(io::ErrorKind::Malformed, e.what());
-    }
-    return decisions;
 }
 
 struct Parsed
@@ -205,7 +93,7 @@ struct Parsed
 };
 
 gpu::GpuConfig
-deserializeGpuConfig(io::ByteReader &r, std::uint32_t version)
+deserializeGpuConfig(io::ByteReader &r)
 {
     gpu::GpuConfig cfg;
     cfg.name = readString(r);
@@ -240,16 +128,12 @@ deserializeGpuConfig(io::ByteReader &r, std::uint32_t version)
     cfg.crmPipelineCycles = r.u32();
     cfg.crmPjPerThread = r.f64();
     cfg.crmStaticW = r.f64();
-    if (version >= 2) {
-        cfg.regFileBytesPerSm = r.u64();
-        cfg.sharedResidencyFraction = r.f64();
-        cfg.regfileResidencyFraction = r.f64();
-        cfg.residencyOccupancyPenalty = r.f64();
-    }
-    if (version >= 3) {
-        cfg.int8DotUnits = r.u32() != 0;
-        cfg.explicitWeightMemory = r.u32() != 0;
-    }
+    cfg.regFileBytesPerSm = r.u64();
+    cfg.sharedResidencyFraction = r.f64();
+    cfg.regfileResidencyFraction = r.f64();
+    cfg.residencyOccupancyPenalty = r.f64();
+    cfg.int8DotUnits = r.u32() != 0;
+    cfg.explicitWeightMemory = r.u32() != 0;
     r.expectEnd();
     return cfg;
 }
@@ -259,34 +143,29 @@ Parsed
 parse(const std::string &path, const io::ArtifactLimits &limits)
 {
     io::ArtifactReader reader(path, io::kSchemaTunedPlan, limits);
-    const std::uint32_t version = reader.schemaVersion();
-    if (version < kMinVersion || version > kVersion)
-        fail(io::ErrorKind::BadVersion,
-             "schema version " + std::to_string(version) +
-                 " unsupported");
+    reader.requireSchemaVersion(kVersion);
 
     Parsed out;
     {
         io::ByteReader r = reader.chunk(kChunkFingerprint);
-        out.artifact.fingerprint = readFingerprint(r, version);
+        out.artifact.fingerprint = readFingerprint(r, limits);
     }
     {
         io::ByteReader r = reader.chunk(kChunkGpu);
-        out.artifact.gpu = deserializeGpuConfig(r, version);
+        out.artifact.gpu = deserializeGpuConfig(r);
         out.gpuBytes = serializeGpuConfig(out.artifact.gpu);
     }
     {
         io::ByteReader r = reader.chunk(kChunkShape);
-        out.artifact.shape = readShape(r);
+        out.artifact.shape = readShape(r, limits);
+        r.expectEnd();
     }
     {
         io::ByteReader r = reader.chunk(kChunkDecisions);
-        out.artifact.decisions = readDecisions(r, version);
+        out.artifact.decisions =
+            readDecisions(r, out.artifact.shape, limits);
+        r.expectEnd();
     }
-    if (out.artifact.decisions.layers.size() !=
-        out.artifact.shape.layers.size())
-        fail(io::ErrorKind::Malformed,
-             "decision/shape layer count mismatch");
     {
         io::ByteReader r = reader.chunk(kChunkMeasured);
         out.artifact.timeUs = r.f64();
@@ -336,16 +215,11 @@ parse(const std::string &path, const io::ArtifactLimits &limits)
 void
 checkMeasured(const TunedPlanArtifact &artifact)
 {
-    runtime::ExecutionPlan plan;
-    try {
-        plan = runtime::ExecutionPlan::fromDecisions(artifact.decisions);
-    } catch (const std::invalid_argument &e) {
-        fail(io::ErrorKind::Malformed, e.what());
-    }
     const runtime::NetworkExecutor exec(artifact.gpu);
     const runtime::RunReport report =
         exec.run(runtime::RunRequest::network(
-            artifact.shape, std::move(plan),
+            artifact.shape,
+            runtime::ExecutionPlan::fromDecisions(artifact.decisions),
             static_cast<std::size_t>(artifact.fingerprint.batch)));
     if (!close(report.result.timeUs, artifact.timeUs) ||
         !close(report.result.dramBytes, artifact.dramBytes))
@@ -385,6 +259,133 @@ resultFromArtifact(TunedPlanArtifact art)
 }
 
 } // anonymous namespace
+
+void
+writeString(io::ByteWriter &w, const std::string &s)
+{
+    w.u8Array({reinterpret_cast<const std::int8_t *>(s.data()),
+               s.size()});
+}
+
+std::string
+readString(io::ByteReader &r)
+{
+    const std::vector<std::int8_t> raw = r.u8Array();
+    return std::string(raw.begin(), raw.end());
+}
+
+void
+writeShape(io::ByteWriter &w, const runtime::NetworkShape &shape)
+{
+    w.u64(shape.layers.size());
+    for (const runtime::LstmLayerShape &l : shape.layers) {
+        w.u64(l.inputSize);
+        w.u64(l.hiddenSize);
+        w.u64(l.length);
+    }
+}
+
+runtime::NetworkShape
+readShape(io::ByteReader &r, const io::ArtifactLimits &limits)
+{
+    const std::uint64_t count = r.u64();
+    if (count == 0 || count > std::min(kMaxLayers, limits.maxDim))
+        codecFail(io::ErrorKind::LimitExceeded, "implausible layer count");
+    runtime::NetworkShape shape;
+    shape.layers.reserve(static_cast<std::size_t>(count));
+    for (std::uint64_t i = 0; i < count; ++i) {
+        const std::uint64_t in = r.u64();
+        const std::uint64_t hid = r.u64();
+        const std::uint64_t len = r.u64();
+        for (std::uint64_t dim : {in, hid, len})
+            if (dim == 0 || dim > limits.maxDim)
+                codecFail(io::ErrorKind::LimitExceeded,
+                          "layer dimension out of range");
+        shape.layers.push_back({static_cast<std::size_t>(in),
+                                static_cast<std::size_t>(hid),
+                                static_cast<std::size_t>(len)});
+    }
+    return shape;
+}
+
+void
+writeDecisions(io::ByteWriter &w,
+               const runtime::ScheduleDecisions &decisions)
+{
+    w.u64(decisions.layers.size());
+    for (const runtime::LayerSchedule &ls : decisions.layers) {
+        std::vector<std::uint64_t> sizes(ls.tissueSizes.begin(),
+                                         ls.tissueSizes.end());
+        w.u64Array(sizes);
+        w.u32(static_cast<std::uint32_t>(ls.skipPath));
+        w.f64(ls.skipFraction);
+        w.u32(static_cast<std::uint32_t>(ls.flagFusion));
+        w.u32(static_cast<std::uint32_t>(ls.quant));
+        w.u32(ls.prunedCsr ? 1 : 0);
+        w.f64(ls.pruneFraction);
+        w.u64(ls.batch);
+        w.u32(static_cast<std::uint32_t>(ls.residency));
+    }
+}
+
+runtime::ScheduleDecisions
+readDecisions(io::ByteReader &r, const runtime::NetworkShape &shape,
+              const io::ArtifactLimits &limits)
+{
+    const auto enumValue = [&](auto max, const char *what) {
+        const std::uint32_t v = r.u32();
+        if (v > static_cast<std::uint32_t>(max))
+            codecFail(io::ErrorKind::Malformed,
+                      std::string("unknown ") + what);
+        return static_cast<decltype(max)>(v);
+    };
+    const auto fraction = [&](const char *what) {
+        const double v = r.f64();
+        if (!std::isfinite(v))
+            codecFail(io::ErrorKind::NonFinite,
+                      std::string(what) + " is not finite");
+        return v;
+    };
+    const auto bounded = [&](std::uint64_t v, const char *what) {
+        if (v > limits.maxDim)
+            codecFail(io::ErrorKind::LimitExceeded,
+                      std::string(what) + " out of range");
+        return static_cast<std::size_t>(v);
+    };
+
+    if (r.u64() != shape.layers.size())
+        codecFail(io::ErrorKind::Malformed,
+                  "decision/shape layer count mismatch");
+    runtime::ScheduleDecisions decisions;
+    decisions.layers.resize(shape.layers.size());
+    for (std::size_t l = 0; l < shape.layers.size(); ++l) {
+        runtime::LayerSchedule &ls = decisions.layers[l];
+        std::size_t cells = 0;
+        for (std::uint64_t t : r.u64Array()) {
+            ls.tissueSizes.push_back(bounded(t, "tissue size"));
+            cells += ls.tissueSizes.back();
+        }
+        if (!ls.tissueSizes.empty() && cells != shape.layers[l].length)
+            codecFail(io::ErrorKind::Malformed,
+                      "tissue sizes do not cover the layer");
+        ls.skipPath = enumValue(runtime::SkipPath::HwCrm, "skip path");
+        ls.skipFraction = fraction("skip fraction");
+        ls.flagFusion = enumValue(runtime::FlagFusion::FusedEpilogue,
+                                  "flag fusion");
+        ls.quant = enumValue(quant::QuantMode::Int4, "quant mode");
+        ls.prunedCsr = r.u32() != 0;
+        ls.pruneFraction = fraction("prune fraction");
+        ls.batch = bounded(r.u64(), "layer batch");
+        ls.residency = enumValue(runtime::WeightResidency::Regfile,
+                                 "residency");
+    }
+    try {
+        decisions.validate();
+    } catch (const std::invalid_argument &e) {
+        codecFail(io::ErrorKind::Malformed, e.what());
+    }
+    return decisions;
+}
 
 std::uint32_t
 statsCrc(const std::vector<core::LayerApproxStats> &stats)
@@ -437,12 +438,10 @@ serializeGpuConfigInto(io::ByteWriter &w, const gpu::GpuConfig &cfg)
     w.u32(cfg.crmPipelineCycles);
     w.f64(cfg.crmPjPerThread);
     w.f64(cfg.crmStaticW);
-    // v2: residency cost-model fields
     w.u64(cfg.regFileBytesPerSm);
     w.f64(cfg.sharedResidencyFraction);
     w.f64(cfg.regfileResidencyFraction);
     w.f64(cfg.residencyOccupancyPenalty);
-    // v3: backend capability flags
     w.u32(cfg.int8DotUnits ? 1 : 0);
     w.u32(cfg.explicitWeightMemory ? 1 : 0);
 }
@@ -472,11 +471,7 @@ makeTunedPlanArtifact(const TuneRequest &req, std::uint32_t weights_crc,
     art.fingerprint.backendId = req.backendId;
     art.gpu = gpu;
     art.shape = req.shape;
-    art.decisions =
-        result.chosen.plan.hasExplicitDecisions()
-            ? result.chosen.plan.decisions
-            : result.chosen.plan.explicitDecisions(
-                  req.shape.layers.size());
+    art.decisions = result.chosen.plan.decisions;
     art.timeUs = result.chosen.timeUs;
     art.dramBytes = result.chosen.dramBytes;
     art.chosenLabel = result.chosen.label;
@@ -540,10 +535,6 @@ loadTunedPlan(const std::string &path, const gpu::GpuConfig &gpu,
         want.mts = req.mts;
         want.modelHidden = req.modelHidden;
         want.backendId = req.backendId;
-        // v1/v2 artifacts recorded no backend id; the GpuConfig byte
-        // compare below remains the staleness guard for those files.
-        if (art.fingerprint.backendId.empty())
-            want.backendId.clear();
         if (!(art.fingerprint == want))
             fail(io::ErrorKind::Stale,
                  "fingerprint does not match this model/request");

@@ -42,8 +42,7 @@ struct TunedPlanFingerprint
     std::uint64_t batch = 1;
     std::uint64_t mts = 1;
     std::uint64_t modelHidden = 0;
-    /// hw registry backend id (v3+; "" on files written before v3, in
-    /// which case the GpuConfig byte compare is the staleness guard)
+    /// hw registry backend id (TuneRequest::backendId)
     std::string backendId;
 
     bool operator==(const TunedPlanFingerprint &) const = default;
@@ -75,6 +74,40 @@ struct TunedPlanArtifact
     std::vector<std::string> layerLabels;
     std::vector<CandidateSummary> candidates;
 };
+
+// --- Plan codec -------------------------------------------------------
+// The one encoding of strings, network shapes and schedule decisions,
+// shared by every artifact that stores a plan: the tuned plan here and
+// the engine warm state (serve/persist). Decoding bounds every field
+// before anything allocates from it or simulates it. No decoder checks
+// for trailing bytes; callers finish the chunk with expectEnd().
+
+void writeString(io::ByteWriter &w, const std::string &s);
+std::string readString(io::ByteReader &r);
+
+void writeShape(io::ByteWriter &w, const runtime::NetworkShape &shape);
+
+/**
+ * @throws io::ArtifactError LimitExceeded when the layer count is zero
+ * or over 1024, or any dimension is zero or over @p limits.maxDim.
+ */
+runtime::NetworkShape readShape(io::ByteReader &r,
+                                const io::ArtifactLimits &limits);
+
+void writeDecisions(io::ByteWriter &w,
+                    const runtime::ScheduleDecisions &decisions);
+
+/**
+ * Decode one LayerSchedule per layer of @p shape.
+ * @throws io::ArtifactError Malformed on a layer count that differs
+ * from @p shape, tissue sizes that do not sum to the layer length, an
+ * unknown enum value or decisions that fail
+ * ScheduleDecisions::validate(); LimitExceeded on a tissue size or
+ * batch over @p limits.maxDim; NonFinite on a NaN/Inf fraction.
+ */
+runtime::ScheduleDecisions
+readDecisions(io::ByteReader &r, const runtime::NetworkShape &shape,
+              const io::ArtifactLimits &limits);
 
 /** CRC32 over the packed statistics (fingerprint ingredient). */
 std::uint32_t

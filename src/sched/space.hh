@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "core/approx.hh"
+#include "core/planner.hh"
 #include "gpu/config.hh"
 #include "runtime/plan.hh"
 
@@ -24,32 +24,21 @@ namespace mflstm {
 namespace sched {
 
 /**
- * Everything one tuning run needs: the timing shape, the measured
- * per-layer statistics to project onto it, the calibration outputs the
- * preset planner consumes, and the precision/batch point being tuned.
- * Together with the GpuConfig of the executor this keys the tuned-plan
- * cache artifact.
+ * Everything one tuning run needs: the preset inputs (timing shape,
+ * measured per-layer statistics, calibration outputs, precision and
+ * comparator fraction) plus the batch point being tuned and the search
+ * knobs. Together with the GpuConfig of the executor this keys the
+ * tuned-plan cache artifact.
  */
-struct TuneRequest
+struct TuneRequest : core::PresetInputs
 {
-    runtime::NetworkShape shape;
     /**
-     * hw registry id of the backend being tuned for ("" = unspecified,
-     * treated as the anchor). Recorded in the tuned-plan artifact
-     * fingerprint so a cache written under one backend is Stale under
-     * another even before the GpuConfig byte compare runs.
+     * hw registry id of the backend being tuned for. Recorded in the
+     * tuned-plan artifact fingerprint so a cache written under one
+     * backend is Stale under another even before the GpuConfig byte
+     * compare runs.
      */
     std::string backendId;
-    /// one entry per layer, from an ApproxRunner evaluation pass
-    std::vector<core::LayerApproxStats> stats;
-    /// maximum tissue size from the offline sweep (Fig. 10 op 1)
-    std::size_t mts = 1;
-    /// hidden size of the accuracy model (normalises skippedRows)
-    std::size_t modelHidden = 0;
-    /// weight precision being tuned for
-    quant::QuantMode quant = quant::QuantMode::Fp32;
-    /// comparator fraction for the zero-pruning candidates ([31])
-    double pruneFraction = 0.37;
     /// concurrent sequences per kernel during scoring runs
     std::size_t batch = 1;
     /// per-layer candidates surviving the byte-estimate prune
@@ -72,8 +61,9 @@ struct LayerOption
  * (sw-standalone, sw-fused, hw-crm) when the layer's measured skip
  * fraction is positive, tissue schedules (with and without fused DRS)
  * when the division statistics produce tissues larger than one cell
- * (@p inter / @p combined_inter are the aligned per-layer schedules the
- * preset planner built at the calibrated and the DRS-extended MTS),
+ * (@p inter / @p combined_inter are the aligned per-layer tissue sizes
+ * of the InterCell and Combined presets, built at the calibrated and
+ * the DRS-extended MTS),
  * persistent residency points (dense layers pinned to the shared and
  * register-file tiers, plus tissues+regfile so the Persistent preset's
  * exact per-layer point is always in the search), and the zero-pruning
@@ -92,8 +82,8 @@ struct LayerOption
  */
 std::vector<LayerOption>
 enumerateLayerOptions(const TuneRequest &req, std::size_t layer_index,
-                      const std::vector<runtime::LayerInterPlan> &inter,
-                      const std::vector<runtime::LayerInterPlan>
+                      const std::vector<std::vector<std::size_t>> &inter,
+                      const std::vector<std::vector<std::size_t>>
                           &combined_inter,
                       const gpu::GpuConfig &cfg);
 

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "core/planner.hh"
-#include "core/tissue.hh"
 
 namespace mflstm {
 namespace sched {
@@ -19,13 +18,14 @@ constexpr runtime::PlanKind kPresets[] = {
     runtime::PlanKind::Persistent,
 };
 
-double
-meanSkip(const TuneRequest &req)
+/** Per-layer tissue sizes of a preset plan. */
+std::vector<std::vector<std::size_t>>
+tissueSchedules(const runtime::ExecutionPlan &plan)
 {
-    double skip = 0.0;
-    for (const core::LayerApproxStats &st : req.stats)
-        skip += st.skipFraction(req.modelHidden);
-    return skip / static_cast<double>(req.stats.size());
+    std::vector<std::vector<std::size_t>> out;
+    for (const runtime::LayerSchedule &ls : plan.decisions.layers)
+        out.push_back(ls.tissueSizes);
+    return out;
 }
 
 /**
@@ -71,32 +71,7 @@ presetPlan(const runtime::NetworkExecutor &exec, const TuneRequest &req,
            runtime::PlanKind kind)
 {
     req.validate();
-
-    runtime::ExecutionPlan plan;
-    plan.kind = kind;
-    plan.quantMode = req.quant;
-    if (kind == runtime::PlanKind::Baseline)
-        return plan;
-    if (kind == runtime::PlanKind::ZeroPruning) {
-        plan.pruneFraction = req.pruneFraction;
-        return plan;
-    }
-
-    std::size_t mts = req.mts;
-    if (kind == runtime::PlanKind::Combined) {
-        // DRS relieves on-chip traffic inside the tissue GEMM, which
-        // raises the bandwidth-limited MTS (same re-sweep the facade's
-        // planFromStats performs).
-        const double skip = meanSkip(req);
-        if (skip > 0.0)
-            mts = core::findMts(exec, req.shape.layers.front(), 12, skip)
-                      .mts;
-    }
-
-    runtime::ExecutionPlan built = core::buildPlan(
-        kind, req.stats, req.shape, mts, req.modelHidden);
-    built.quantMode = req.quant;
-    return built;
+    return core::presetPlan(exec, kind, req);
 }
 
 double
@@ -126,17 +101,21 @@ tune(const runtime::NetworkExecutor &exec, const TuneRequest &req)
         return result.candidates.back();
     };
 
-    // --- 1. The legacy presets, through the canonical construction ----
-    for (runtime::PlanKind kind : kPresets)
+    // --- 1. The presets, through the canonical construction ----------
+    // The InterCell and Combined tissue schedules seed the layer search.
+    std::vector<std::vector<std::size_t>> inter, combined_inter;
+    for (runtime::PlanKind kind : kPresets) {
+        runtime::ExecutionPlan plan = core::presetPlan(exec, kind, req);
+        if (kind == runtime::PlanKind::InterCell)
+            inter = tissueSchedules(plan);
+        else if (kind == runtime::PlanKind::Combined)
+            combined_inter = tissueSchedules(plan);
         score(std::string("preset:") + runtime::toString(kind),
-              presetPlan(exec, req, kind));
+              std::move(plan));
+    }
     const std::size_t preset_count = result.candidates.size();
 
     // --- 2. Per-layer rule enumeration + byte prune + layer scoring ---
-    const std::vector<runtime::LayerInterPlan> inter =
-        presetPlan(exec, req, runtime::PlanKind::InterCell).inter;
-    const std::vector<runtime::LayerInterPlan> combined_inter =
-        presetPlan(exec, req, runtime::PlanKind::Combined).inter;
 
     std::vector<runtime::LayerSchedule> min_time, min_bytes;
     std::vector<std::string> time_labels, bytes_labels;
@@ -232,14 +211,11 @@ tune(const runtime::NetworkExecutor &exec, const TuneRequest &req)
             chosen = &c;
     }
 
-    // Freeze the winner as explicit decisions: lowering them is
-    // bit-identical to the winning candidate (plan-API §14 contract).
-    Candidate frozen = *chosen;
-    if (!frozen.plan.hasExplicitDecisions()) {
-        frozen.plan = runtime::ExecutionPlan::fromDecisions(
-            frozen.plan.explicitDecisions(req.shape.layers.size()));
-    }
-    result.chosen = std::move(frozen);
+    // The winner is served as a tuned plan: same decisions, so lowering
+    // it is bit-identical to the winning candidate.
+    result.chosen = *chosen;
+    result.chosen.plan =
+        runtime::ExecutionPlan::fromDecisions(chosen->plan.decisions);
     result.chosenLayerLabels =
         chosen->label == "search:min-bytes" ? bytes_labels : time_labels;
     if (chosen->label.rfind("preset:", 0) == 0)

@@ -5,7 +5,7 @@
  * QuantMode) point: rule-driven enumeration per layer, a cheap
  * lowering-level byte-estimate prune, per-layer scoring by single-layer
  * simulation, then full-network simulation of the composed candidates
- * next to every legacy PlanKind preset. Selection is dominance-gated:
+ * next to every PlanKind preset. Selection is dominance-gated:
  * the chosen plan is never worse than the best preset on simulated
  * time *and* DRAM bytes, by construction (the best preset itself stays
  * eligible). The winner is frozen into explicit ScheduleDecisions
@@ -58,10 +58,10 @@ struct TuneResult
 };
 
 /**
- * Build the preset ExecutionPlan for @p kind from the request's
- * statistics, exactly as the facade's timing path would (including the
- * Combined MTS re-sweep with the measured mean skip). Exposed so the
- * tune bench can score hand presets through the identical construction.
+ * The TuneRequest adapter of core::presetPlan: validates @p req and
+ * builds the preset for @p kind exactly as the facade's timing path
+ * does. Exposed so the tune bench can score hand presets through the
+ * identical construction.
  */
 runtime::ExecutionPlan
 presetPlan(const runtime::NetworkExecutor &exec, const TuneRequest &req,

@@ -5,6 +5,9 @@
  * that underlies the UO scheme, plus the plan builder.
  */
 
+#include <algorithm>
+#include <numeric>
+
 #include <gtest/gtest.h>
 
 #include "core/planner.hh"
@@ -199,18 +202,19 @@ TEST(Planner, BuildPlanProjectsBreakRate)
     const auto plan = buildPlan(runtime::PlanKind::Combined, stats,
                                 shape, 5, 16);
 
-    ASSERT_EQ(plan.inter.size(), 2u);
+    ASSERT_EQ(plan.decisions.layers.size(), 2u);
+    const auto &t0 = plan.decisions.layers[0].tissueSizes;
+    const auto &t1 = plan.decisions.layers[1].tissueSizes;
     // Layer 0: 0.2 * 40 breaks -> 9 sub-layers -> tissues <= 5 covering
     // all 41 cells.
-    EXPECT_EQ(plan.inter[0].totalCells(), 41u);
-    EXPECT_LE(plan.inter[0].maxTissue(), 5u);
-    EXPECT_GT(plan.inter[0].maxTissue(), 1u);
+    EXPECT_EQ(std::accumulate(t0.begin(), t0.end(), std::size_t{0}), 41u);
+    EXPECT_LE(*std::max_element(t0.begin(), t0.end()), 5u);
+    EXPECT_GT(*std::max_element(t0.begin(), t0.end()), 1u);
     // Layer 1 never breaks: single sub-layer, all tissues of size 1.
-    EXPECT_EQ(plan.inter[1].maxTissue(), 1u);
+    EXPECT_EQ(*std::max_element(t1.begin(), t1.end()), 1u);
 
-    ASSERT_EQ(plan.intra.size(), 2u);
-    EXPECT_DOUBLE_EQ(plan.intra[0].skipFraction, 0.0);
-    EXPECT_DOUBLE_EQ(plan.intra[1].skipFraction, 0.5);
+    EXPECT_DOUBLE_EQ(plan.decisions.layers[0].skipFraction, 0.0);
+    EXPECT_DOUBLE_EQ(plan.decisions.layers[1].skipFraction, 0.5);
 }
 
 TEST(Planner, BuildPlanValidatesInputs)
@@ -233,8 +237,11 @@ TEST(Planner, BaselineKindEmitsNoDecisions)
     const auto shape = runtime::NetworkShape::stacked(64, 64, 1, 10);
     const auto plan = buildPlan(runtime::PlanKind::Baseline, stats,
                                 shape, 5, 16);
-    EXPECT_TRUE(plan.inter.empty());
-    EXPECT_TRUE(plan.intra.empty());
+    // One dense layer: no tissue or skip decisions.
+    ASSERT_EQ(plan.decisions.layers.size(), 1u);
+    EXPECT_EQ(plan.decisions.layers[0], runtime::LayerSchedule{});
+    EXPECT_FALSE(plan.usesInter());
+    EXPECT_FALSE(plan.usesIntra());
 }
 
 } // namespace

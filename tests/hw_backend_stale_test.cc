@@ -3,7 +3,7 @@
  * Backend identity in persisted artifacts (DESIGN.md §17): a tuned
  * plan or engine warm state recorded under one hw backend must be
  * rejected as Stale under another — even when the GpuConfigs happen to
- * agree — while pre-backend files ("" id) stay loadable as wildcards.
+ * agree. An empty id is an id like any other, never a wildcard.
  * Also locks in the governor's precision-switch instrumentation: a
  * mixed-quant ladder walk pays a visible twin rebuild, surfaced as
  * serve.precision_switch_total + serve.twin_rebuild_ms.
@@ -86,12 +86,11 @@ TEST(TunedPlanBackend, WrongBackendRejectedAsStale)
     std::remove(path.c_str());
 }
 
-TEST(TunedPlanBackend, PreBackendArtifactLoadsAsWildcard)
+TEST(TunedPlanBackend, EmptyBackendIdIsNoWildcard)
 {
-    // A file written with no backend id (the pre-v3 world) must keep
-    // loading under any requested backend; the GpuConfig byte compare
-    // remains its staleness guard.
-    const std::string path = tmpPath("tuned_wild");
+    // A file recorded with no backend id matches only requests with no
+    // backend id: there is no wildcard, a mismatch is Stale.
+    const std::string path = tmpPath("tuned_empty");
     const gpu::GpuConfig cfg = hw::registry().get("tx1").config;
     const runtime::NetworkExecutor exec(cfg);
 
@@ -100,8 +99,13 @@ TEST(TunedPlanBackend, PreBackendArtifactLoadsAsWildcard)
     sched::saveTunedPlan(
         sched::makeTunedPlanArtifact(req, 0x1234, cfg, res), path);
 
-    EXPECT_NO_THROW(
-        sched::loadTunedPlan(path, cfg, smallRequest("tx1"), 0x1234));
+    try {
+        sched::loadTunedPlan(path, cfg, smallRequest("tx1"), 0x1234);
+        FAIL() << "tuned plan without a backend id accepted under tx1";
+    } catch (const io::ArtifactError &e) {
+        EXPECT_EQ(e.kind(), io::ErrorKind::Stale);
+    }
+    EXPECT_NO_THROW(sched::loadTunedPlan(path, cfg, req, 0x1234));
     std::remove(path.c_str());
 }
 
@@ -184,7 +188,7 @@ TEST_F(BackendWarmStateTest, WrongBackendWarmStateRejectedAsStale)
     EXPECT_EQ(restarted.exportWarmState().backendId, "tx1");
 }
 
-TEST_F(BackendWarmStateTest, PreBackendWarmStateLoadsAsWildcard)
+TEST_F(BackendWarmStateTest, EmptyBackendIdIsNoWildcard)
 {
     {
         serve::InferenceEngine engine(mf, engineOptions(""));
@@ -192,8 +196,13 @@ TEST_F(BackendWarmStateTest, PreBackendWarmStateLoadsAsWildcard)
     }
     const serve::EngineWarmState warm = serve::loadEngineState(path_);
     EXPECT_EQ(warm.backendId, "");
-    EXPECT_NO_THROW(
-        serve::InferenceEngine(mf, engineOptions("epur"), warm));
+    try {
+        serve::InferenceEngine engine(mf, engineOptions("epur"), warm);
+        FAIL() << "warm state without a backend id accepted under epur";
+    } catch (const io::ArtifactError &e) {
+        EXPECT_EQ(e.kind(), io::ErrorKind::Stale);
+    }
+    EXPECT_NO_THROW(serve::InferenceEngine(mf, engineOptions(""), warm));
 }
 
 // --- Governor precision-switch accounting ---------------------------

@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the binary model serialization used by the bench cache:
- * round trips over the v2 artifact container, the legacy v1 migration
- * path, and the corruption matrix — every damaged input must raise a
- * typed io::ArtifactError before any dangerous allocation, never
- * produce a partial model.
+ * round trips over the v2 artifact container, retired formats rejected
+ * as recomputable caches, and the corruption matrix — every damaged
+ * input must raise a typed io::ArtifactError before any dangerous
+ * allocation, never produce a partial model.
  */
 
 #include <cmath>
@@ -316,7 +316,7 @@ TEST_F(SerializeTest, InfinityWeightRejected)
 }
 
 // ----------------------------------------------------------------------
-// Legacy v1 migration
+// Retired formats are recomputable caches, never migrated
 
 void
 putU32(std::ofstream &os, std::uint32_t v)
@@ -329,106 +329,37 @@ putU32(std::ofstream &os, std::uint32_t v)
     os.write(reinterpret_cast<const char *>(b), 4);
 }
 
-void
-putTensor(std::ofstream &os, const float *data, std::size_t n)
+TEST_F(SerializeTest, LegacyV1DumpIsBadMagicAndRetrained)
 {
-    os.write(reinterpret_cast<const char *>(data),
-             static_cast<std::streamsize>(n * sizeof(float)));
-}
-
-/** Emit @p m in the original raw v1 dump format. */
-void
-writeLegacyV1(const LstmModel &m, const std::string &path)
-{
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    const ModelConfig &cfg = m.config();
-    putU32(os, 0x4d464c31);  // "MFL1"
-    putU32(os, 1);
-    putU32(os, cfg.task == TaskKind::LanguageModel ? 1 : 0);
-    putU32(os, static_cast<std::uint32_t>(cfg.vocab));
-    putU32(os, static_cast<std::uint32_t>(cfg.embedSize));
-    putU32(os, static_cast<std::uint32_t>(cfg.hiddenSize));
-    putU32(os, static_cast<std::uint32_t>(cfg.numLayers));
-    putU32(os, static_cast<std::uint32_t>(cfg.numClasses));
-    putU32(os, cfg.sigmoid == SigmoidKind::Hard ? 1 : 0);
-
-    putTensor(os, m.embedding().table.data(),
-              m.embedding().table.size());
-    for (const LstmLayerParams &p : m.layers()) {
-        for (const tensor::Matrix *mat :
-             {&p.wf, &p.wi, &p.wc, &p.wo, &p.uf, &p.ui, &p.uc, &p.uo})
-            putTensor(os, mat->data(), mat->size());
-        for (const tensor::Vector *v : {&p.bf, &p.bi, &p.bc, &p.bo})
-            putTensor(os, v->data(), v->size());
-    }
-    putTensor(os, m.head().w.data(), m.head().w.size());
-    putTensor(os, m.head().b.data(), m.head().b.size());
-}
-
-TEST_F(SerializeTest, LegacyV1FilesStillLoad)
-{
+    // The pre-container raw dump: "MFL1" magic, version 1, header words
+    // and raw f32 tensors. It is not a model file: caches holding one
+    // retrain and overwrite it with the container.
     const LstmModel original(someConfig(), 21);
-    writeLegacyV1(original, path_);
-
-    ASSERT_TRUE(isModelFile(path_));
-    const LstmModel migrated = loadModel(path_);
-    EXPECT_EQ(migrated.config().hiddenSize,
-              original.config().hiddenSize);
-    EXPECT_EQ(migrated.embedding().table, original.embedding().table);
-    EXPECT_EQ(migrated.layers()[1].uo, original.layers()[1].uo);
-    const std::int32_t toks[] = {3, 1, 4, 1, 5};
-    EXPECT_EQ(migrated.classify(toks), original.classify(toks));
-
-    // Re-saving migrates to the v2 container.
-    saveModel(migrated, path_);
-    EXPECT_TRUE(io::isArtifactFile(path_));
-    const LstmModel reloaded = loadModel(path_);
-    EXPECT_EQ(reloaded.classify(toks), original.classify(toks));
-}
-
-TEST_F(SerializeTest, LegacyV1TruncationRejected)
-{
-    writeLegacyV1(LstmModel(someConfig(), 21), path_);
-    const std::uintmax_t full = std::filesystem::file_size(path_);
-    std::filesystem::resize_file(path_, full - 5);
-    EXPECT_EQ(loadKind(path_), io::ErrorKind::Truncated);
-}
-
-TEST_F(SerializeTest, LegacyV1TrailingBytesRejected)
-{
-    writeLegacyV1(LstmModel(someConfig(), 21), path_);
     {
-        std::ofstream os(path_, std::ios::binary | std::ios::app);
-        os << "extra";
+        std::ofstream os(path_, std::ios::binary | std::ios::trunc);
+        putU32(os, 0x4d464c31);  // "MFL1"
+        putU32(os, 1);
+        for (int i = 0; i < 7; ++i)
+            putU32(os, 4);
+        const std::vector<float> payload(original.parameterCount(), 0.5f);
+        os.write(reinterpret_cast<const char *>(payload.data()),
+                 static_cast<std::streamsize>(payload.size() * 4));
     }
-    EXPECT_EQ(loadKind(path_), io::ErrorKind::Malformed);
+    EXPECT_FALSE(isModelFile(path_));
+    EXPECT_EQ(loadKind(path_), io::ErrorKind::BadMagic);
+
+    saveModel(original, path_);
+    ASSERT_TRUE(isModelFile(path_));
+    const std::int32_t toks[] = {3, 1, 4, 1, 5};
+    EXPECT_EQ(loadModel(path_).classify(toks), original.classify(toks));
 }
 
-TEST_F(SerializeTest, LegacyV1NanRejected)
+TEST_F(SerializeTest, OlderSchemaVersionIsStale)
 {
-    LstmModel m(someConfig(), 21);
-    m.layers()[1].bc.data()[0] =
-        std::numeric_limits<float>::quiet_NaN();
-    writeLegacyV1(m, path_);
-    EXPECT_EQ(loadKind(path_), io::ErrorKind::NonFinite);
-}
-
-TEST_F(SerializeTest, LegacyV1HugeDimsRejectedBeforeAllocation)
-{
-    // Header demands ~10^18 parameters; the payload is absent. The
-    // dimension check must fire before the model is allocated.
-    std::ofstream os(path_, std::ios::binary | std::ios::trunc);
-    putU32(os, 0x4d464c31);
-    putU32(os, 1);
-    putU32(os, 0);
-    putU32(os, 0xFFFFFF);  // vocab
-    putU32(os, 0xFFFFFF);  // embedSize
-    putU32(os, 0xFFFFFF);  // hiddenSize
-    putU32(os, 64);        // numLayers
-    putU32(os, 2);
-    putU32(os, 0);
-    os.close();
-    EXPECT_EQ(loadKind(path_), io::ErrorKind::LimitExceeded);
+    io::ArtifactWriter w(io::kSchemaModel, 1);  // predates this build
+    w.chunk(io::fourcc('M', 'C', 'F', 'G')).u32(0);
+    w.commit(path_);
+    EXPECT_EQ(loadKind(path_), io::ErrorKind::Stale);
 }
 
 } // namespace

@@ -42,27 +42,19 @@ ExecutionPlan
 planFor(PlanKind kind, const runtime::NetworkShape &shape,
         quant::QuantMode qm)
 {
-    ExecutionPlan plan;
-    plan.kind = kind;
-    plan.quantMode = qm;
-    if (plan.usesInter()) {
-        for (const runtime::LstmLayerShape &layer : shape.layers) {
-            runtime::LayerInterPlan ip;
-            std::size_t left = layer.length;
-            while (left > 0) {
-                const std::size_t t = std::min<std::size_t>(4, left);
-                ip.tissueSizes.push_back(t);
-                left -= t;
-            }
-            plan.inter.push_back(std::move(ip));
+    std::vector<runtime::PresetLayer> layers;
+    for (const runtime::LstmLayerShape &layer : shape.layers) {
+        runtime::PresetLayer in;
+        in.skipFraction = 0.35;
+        std::size_t left = layer.length;
+        while (left > 0) {
+            const std::size_t t = std::min<std::size_t>(4, left);
+            in.tissueSizes.push_back(t);
+            left -= t;
         }
+        layers.push_back(std::move(in));
     }
-    if (plan.usesIntra())
-        plan.intra.assign(shape.layers.size(),
-                          runtime::LayerIntraPlan{0.35});
-    if (kind == PlanKind::ZeroPruning)
-        plan.pruneFraction = 0.3;
-    return plan;
+    return ExecutionPlan::preset(kind, layers, qm, 0.3);
 }
 
 void

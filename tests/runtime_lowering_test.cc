@@ -25,22 +25,33 @@ layer512()
     return {512, 512, 10};
 }
 
+/** @p length cells in tissues of @p k (the last one shorter). */
+std::vector<std::size_t>
+uniformTissues(std::size_t length, std::size_t k)
+{
+    std::vector<std::size_t> tissues;
+    for (std::size_t left = length; left;) {
+        const std::size_t t = std::min(k, left);
+        tissues.push_back(t);
+        left -= t;
+    }
+    return tissues;
+}
+
 ExecutionPlan
 uniformInterPlan(std::size_t layers, std::size_t length, std::size_t k)
 {
-    ExecutionPlan plan;
-    plan.kind = PlanKind::InterCell;
-    for (std::size_t l = 0; l < layers; ++l) {
-        LayerInterPlan ip;
-        std::size_t left = length;
-        while (left) {
-            const std::size_t t = std::min(k, left);
-            ip.tissueSizes.push_back(t);
-            left -= t;
-        }
-        plan.inter.push_back(ip);
-    }
-    return plan;
+    return ExecutionPlan::preset(
+        PlanKind::InterCell,
+        std::vector<PresetLayer>(layers, {uniformTissues(length, k), 0.0}));
+}
+
+ExecutionPlan
+uniformCombinedPlan(std::size_t length, std::size_t k, double skip,
+                    quant::QuantMode qm = quant::QuantMode::Fp32)
+{
+    return ExecutionPlan::preset(PlanKind::Combined,
+                                 {{uniformTissues(length, k), skip}}, qm);
 }
 
 TEST(Plan, NetworkShapeStacked)
@@ -57,10 +68,15 @@ TEST(Plan, NetworkShapeStacked)
 
 TEST(Plan, InterPlanAccounting)
 {
-    LayerInterPlan ip;
-    ip.tissueSizes = {5, 5, 3, 1};
-    EXPECT_EQ(ip.totalCells(), 14u);
-    EXPECT_EQ(ip.maxTissue(), 5u);
+    const ExecutionPlan p =
+        ExecutionPlan::preset(PlanKind::InterCell, {{{5, 5, 3, 1}, 0.0}});
+    EXPECT_EQ(p.layerSchedule(0).tissueSizes,
+              (std::vector<std::size_t>{5, 5, 3, 1}));
+    EXPECT_TRUE(p.layerSchedule(0).usesTissues());
+    EXPECT_TRUE(p.usesInter());
+    // An all-ones schedule is the per-cell flow.
+    EXPECT_FALSE(ExecutionPlan::preset(PlanKind::InterCell, {{{1, 1}, 0.0}})
+                     .usesInter());
 }
 
 TEST(Plan, KindPredicates)
@@ -165,9 +181,8 @@ TEST(Lowering, AllOnesTissuesFallBackToPerCellFlow)
 TEST(Lowering, DrsFlowMatchesAlgorithm3)
 {
     Lowering low(kCfg);
-    ExecutionPlan plan;
-    plan.kind = PlanKind::IntraCellSw;
-    plan.intra = {{0.5}};
+    const ExecutionPlan plan =
+        ExecutionPlan::preset(PlanKind::IntraCellSw, {{{}, 0.5}});
     gpu::KernelTrace trace;
     low.lowerLayer(layer512(), plan, 0, trace);
 
@@ -186,9 +201,8 @@ TEST(Lowering, DrsFlowMatchesAlgorithm3)
 TEST(Lowering, CrmFlowFusesTheScanIntoTheGateEpilogue)
 {
     Lowering low(kCfg);
-    ExecutionPlan plan;
-    plan.kind = PlanKind::IntraCellHw;
-    plan.intra = {{0.5}};
+    const ExecutionPlan plan =
+        ExecutionPlan::preset(PlanKind::IntraCellHw, {{{}, 0.5}});
     gpu::KernelTrace trace;
     low.lowerLayer(layer512(), plan, 0, trace);
 
@@ -208,12 +222,8 @@ TEST(Lowering, CrmFlowFusesTheScanIntoTheGateEpilogue)
 TEST(Lowering, CombinedFlowSplitsTheTissueGemm)
 {
     Lowering low(kCfg);
-    ExecutionPlan plan;
-    plan.kind = PlanKind::Combined;
-    LayerInterPlan ip;
-    ip.tissueSizes = {5, 5};
-    plan.inter = {ip};
-    plan.intra = {{0.5}};
+    const ExecutionPlan plan =
+        ExecutionPlan::preset(PlanKind::Combined, {{{5, 5}, 0.5}});
 
     gpu::KernelTrace trace;
     low.lowerLayer({512, 512, 10}, plan, 0, trace);
@@ -244,9 +254,7 @@ TEST(Lowering, CombinedWeightTrafficBelowInterAlone)
     const auto shape = NetworkShape::stacked(512, 512, 1, 20);
 
     ExecutionPlan inter = uniformInterPlan(1, 20, 5);
-    ExecutionPlan comb = inter;
-    comb.kind = PlanKind::Combined;
-    comb.intra = {{0.6}};
+    const ExecutionPlan comb = uniformCombinedPlan(20, 5, 0.6);
 
     const RunReport ri = ex.run(shape, inter);
     const RunReport rc = ex.run(shape, comb);
@@ -285,9 +293,8 @@ TEST(Lowering, ZeroPruningPaysDivergenceAndCoalescing)
     const NetworkShape shape = NetworkShape::stacked(512, 512, 1, 20);
 
     ExecutionPlan base;
-    ExecutionPlan zp;
-    zp.kind = PlanKind::ZeroPruning;
-    zp.pruneFraction = 0.37;
+    const ExecutionPlan zp = ExecutionPlan::preset(
+        PlanKind::ZeroPruning, {{}}, quant::QuantMode::Fp32, 0.37);
 
     const RunReport rb = ex.run(shape, base);
     const RunReport rz = ex.run(shape, zp);
@@ -301,10 +308,10 @@ TEST(Lowering, QuantizedPlanShrinksWeightTraffic)
     const NetworkShape shape = NetworkShape::stacked(512, 512, 1, 20);
 
     ExecutionPlan fp32;
-    ExecutionPlan q8;
-    q8.quantMode = quant::QuantMode::Int8;
-    ExecutionPlan q4;
-    q4.quantMode = quant::QuantMode::Int4;
+    const ExecutionPlan q8 = ExecutionPlan::preset(
+        PlanKind::Baseline, {{}}, quant::QuantMode::Int8);
+    const ExecutionPlan q4 = ExecutionPlan::preset(
+        PlanKind::Baseline, {{}}, quant::QuantMode::Int4);
 
     const RunReport rf = ex.run(shape, fp32);
     const RunReport r8 = ex.run(shape, q8);
@@ -330,8 +337,8 @@ TEST(Lowering, QuantizedPlanShrinksWeightTraffic)
 TEST(Lowering, QuantizedKernelsAreTagged)
 {
     Lowering low(kCfg);
-    ExecutionPlan plan;
-    plan.quantMode = quant::QuantMode::Int8;
+    const ExecutionPlan plan = ExecutionPlan::preset(
+        PlanKind::Baseline, {{}}, quant::QuantMode::Int8);
     gpu::KernelTrace trace;
     low.lowerLayer(layer512(), plan, 0, trace);
 
@@ -348,11 +355,10 @@ TEST(Lowering, ZeroPruningIgnoresQuantMode)
     NetworkExecutor ex(kCfg);
     const NetworkShape shape = NetworkShape::stacked(512, 512, 1, 20);
 
-    ExecutionPlan zp;
-    zp.kind = PlanKind::ZeroPruning;
-    zp.pruneFraction = 0.37;
-    ExecutionPlan zp_q8 = zp;
-    zp_q8.quantMode = quant::QuantMode::Int8;
+    const ExecutionPlan zp = ExecutionPlan::preset(
+        PlanKind::ZeroPruning, {{}}, quant::QuantMode::Fp32, 0.37);
+    const ExecutionPlan zp_q8 = ExecutionPlan::preset(
+        PlanKind::ZeroPruning, {{}}, quant::QuantMode::Int8, 0.37);
 
     const RunReport rz = ex.run(shape, zp);
     const RunReport rq = ex.run(shape, zp_q8);
@@ -370,13 +376,11 @@ TEST(Lowering, QuantComposesWithCombinedPlan)
     const NetworkShape shape = NetworkShape::stacked(512, 512, 1, 20);
 
     ExecutionPlan base;
-    ExecutionPlan q8;
-    q8.quantMode = quant::QuantMode::Int8;
-    ExecutionPlan comb = uniformInterPlan(1, 20, 5);
-    comb.kind = PlanKind::Combined;
-    comb.intra = {{0.5}};
-    ExecutionPlan comb_q8 = comb;
-    comb_q8.quantMode = quant::QuantMode::Int8;
+    const ExecutionPlan q8 = ExecutionPlan::preset(
+        PlanKind::Baseline, {{}}, quant::QuantMode::Int8);
+    const ExecutionPlan comb = uniformCombinedPlan(20, 5, 0.5);
+    const ExecutionPlan comb_q8 =
+        uniformCombinedPlan(20, 5, 0.5, quant::QuantMode::Int8);
 
     const RunReport rb = ex.run(shape, base);
     const RunReport r8 = ex.run(shape, q8);

@@ -221,18 +221,42 @@ expectTraceEqual(const gpu::KernelTrace &a, const gpu::KernelTrace &b)
 ExecutionPlan
 presetFor(PlanKind kind, quant::QuantMode qm)
 {
-    ExecutionPlan plan;
-    plan.kind = kind;
-    plan.quantMode = qm;
-    if (plan.usesInter()) {
-        plan.inter.push_back({{4, 3, 3}});
-        plan.inter.push_back({{5, 5}});
+    return ExecutionPlan::preset(kind, {{{4, 3, 3}, 0.3}, {{5, 5}, 0.45}},
+                                 qm, 0.37);
+}
+
+/** presetFor's decisions spelled out by hand, one scheme at a time. */
+ScheduleDecisions
+spelledOut(PlanKind kind, quant::QuantMode qm)
+{
+    const std::vector<std::size_t> tissues[] = {{4, 3, 3}, {5, 5}};
+    const double skips[] = {0.3, 0.45};
+    ScheduleDecisions d;
+    for (std::size_t l = 0; l < 2; ++l) {
+        LayerSchedule ls;
+        ls.quant = qm;
+        if (kind == PlanKind::InterCell || kind == PlanKind::Combined ||
+            kind == PlanKind::Persistent)
+            ls.tissueSizes = tissues[l];
+        if (kind == PlanKind::Persistent)
+            ls.residency = WeightResidency::Regfile;
+        if (kind == PlanKind::IntraCellSw) {
+            ls.skipPath = SkipPath::Software;
+            ls.skipFraction = skips[l];
+        }
+        if (kind == PlanKind::IntraCellHw || kind == PlanKind::Combined) {
+            ls.skipPath = SkipPath::HwCrm;
+            ls.skipFraction = skips[l];
+            ls.flagFusion = FlagFusion::FusedEpilogue;
+        }
+        if (kind == PlanKind::ZeroPruning) {
+            ls.quant = quant::QuantMode::Fp32;
+            ls.prunedCsr = true;
+            ls.pruneFraction = 0.37;
+        }
+        d.layers.push_back(ls);
     }
-    if (plan.usesIntra())
-        plan.intra = {{0.3}, {0.45}};
-    if (kind == PlanKind::ZeroPruning)
-        plan.pruneFraction = 0.37;
-    return plan;
+    return d;
 }
 
 TEST(ScheduleBitIdentity, PresetsLowerIdenticallyAsExplicitDecisions)
@@ -257,8 +281,11 @@ TEST(ScheduleBitIdentity, PresetsLowerIdenticallyAsExplicitDecisions)
                              quant::toString(qm) + "/b" +
                              std::to_string(batch));
                 const ExecutionPlan preset = presetFor(kind, qm);
-                const ExecutionPlan tuned = ExecutionPlan::fromDecisions(
-                    preset.explicitDecisions(shape.layers.size()));
+                EXPECT_EQ(preset.decisions, spelledOut(kind, qm));
+                // The kind is only a label: the spelled-out decisions
+                // under PlanKind::Tuned lower to the identical trace.
+                const ExecutionPlan tuned =
+                    ExecutionPlan::fromDecisions(spelledOut(kind, qm));
                 EXPECT_EQ(tuned.kind, PlanKind::Tuned);
                 expectTraceEqual(lowering.lower(shape, preset, batch),
                                  lowering.lower(shape, tuned, batch));
@@ -271,14 +298,22 @@ TEST(ScheduleBitIdentity, ExplicitDecisionsMatchLayerSchedule)
 {
     const ExecutionPlan plan = presetFor(PlanKind::Combined,
                                          quant::QuantMode::Int8);
-    const ScheduleDecisions d = plan.explicitDecisions(3);
-    ASSERT_EQ(d.layers.size(), 3u);
-    for (std::size_t l = 0; l < 3; ++l)
+    const ScheduleDecisions &d = plan.decisions;
+    ASSERT_EQ(d.layers.size(), 2u);
+    for (std::size_t l = 0; l < 2; ++l)
         EXPECT_EQ(d.layers[l], plan.layerSchedule(l));
-    // Beyond the preset vectors the derivation is a dense layer at the
+    // The Combined preset: tissues plus CRM skip with fused flags.
+    EXPECT_EQ(d.layers[1].tissueSizes, (std::vector<std::size_t>{5, 5}));
+    EXPECT_EQ(d.layers[1].skipPath, SkipPath::HwCrm);
+    EXPECT_EQ(d.layers[1].skipFraction, 0.45);
+    EXPECT_EQ(d.layers[1].flagFusion, FlagFusion::FusedEpilogue);
+    EXPECT_EQ(plan.quantMode(), quant::QuantMode::Int8);
+    // Beyond the decision vector the schedule is a dense layer at the
     // plan's quant mode.
-    EXPECT_FALSE(d.layers[2].usesTissues());
-    EXPECT_EQ(d.layers[2].quant, quant::QuantMode::Int8);
+    const LayerSchedule beyond = plan.layerSchedule(2);
+    EXPECT_FALSE(beyond.usesTissues());
+    EXPECT_EQ(beyond.skipPath, SkipPath::Off);
+    EXPECT_EQ(beyond.quant, quant::QuantMode::Int8);
 }
 
 TEST(ScheduleBitIdentity, ZeroPruningForcesFp32Csr)
@@ -438,11 +473,10 @@ TEST(Residency, PersistentPresetMatchesTissuesPlusRegfile)
     const Lowering lowering(cfg);
     const NetworkShape shape = NetworkShape::stacked(32, 64, 2, 12);
 
-    ExecutionPlan preset;
-    preset.kind = PlanKind::Persistent;
-    preset.quantMode = quant::QuantMode::Int8;
-    preset.inter.push_back({{6, 6}});
-    preset.inter.push_back({{4, 4, 4}});
+    const ExecutionPlan preset =
+        ExecutionPlan::preset(PlanKind::Persistent,
+                              {{{6, 6}, 0.3}, {{4, 4, 4}, 0.3}},
+                              quant::QuantMode::Int8);
 
     ScheduleDecisions d;
     d.layers.resize(2);

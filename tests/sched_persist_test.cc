@@ -1,8 +1,9 @@
 /**
  * Tuned-plan artifact (DESIGN.md §11/§14): byte-identical serialization
  * of identical searches, full round-trip, staleness against every
- * fingerprint ingredient, corruption rejection (bit flip, truncation),
- * and the tuneCached quarantine-and-retune flow.
+ * fingerprint ingredient, corruption rejection (bit flip, truncation,
+ * out-of-bounds fields behind a valid CRC), older schema versions as
+ * Stale, and the tuneCached quarantine-and-retune flow.
  */
 
 #include <gtest/gtest.h>
@@ -285,6 +286,115 @@ TEST_F(SchedPersistTest, StaleCacheIsRetunedNotServed)
     // And the rewritten cache now serves the *new* fingerprint.
     EXPECT_TRUE(
         tuneCached(exec, req, kWeightsCrc + 7, cache).fromCache);
+}
+
+TEST_F(SchedPersistTest, OlderSchemaVersionIsStaleAndRetuned)
+{
+    const runtime::NetworkExecutor exec(gpu::GpuConfig::tegraX1());
+    const TuneRequest req = request();
+    const std::string cache = path("cache.bin");
+
+    // A file written under an earlier schema is a recomputable cache:
+    // Stale, quarantined, retuned — never migrated. A newer one is
+    // BadVersion.
+    for (const std::uint32_t version : {2u, 4u}) {
+        io::ArtifactWriter w(io::kSchemaTunedPlan, version);
+        w.chunk(io::fourcc('T', 'F', 'P', 'R')).u32(kWeightsCrc);
+        w.commit(cache);
+        try {
+            (void)loadTunedPlan(cache, exec.config(), req, kWeightsCrc);
+            FAIL() << "schema version " << version << " accepted";
+        } catch (const io::ArtifactError &e) {
+            EXPECT_EQ(e.kind(), version < 3 ? io::ErrorKind::Stale
+                                            : io::ErrorKind::BadVersion);
+        }
+    }
+
+    io::ArtifactWriter w(io::kSchemaTunedPlan, 2);
+    w.chunk(io::fourcc('T', 'F', 'P', 'R')).u32(kWeightsCrc);
+    w.commit(cache);
+    EXPECT_FALSE(tuneCached(exec, req, kWeightsCrc, cache).fromCache);
+    EXPECT_TRUE(fs::exists(cache + ".corrupt"));
+    EXPECT_TRUE(tuneCached(exec, req, kWeightsCrc, cache).fromCache);
+}
+
+// ---------------------------------------------------------------------
+// Out-of-bounds fields in a file with a valid CRC: the shared plan codec
+// rejects each with a typed error while parsing, before re-simulation
+// (a 2^24+1-cell layer would otherwise simulate for minutes).
+
+class CraftedTunedPlanTest : public SchedPersistTest
+{
+  protected:
+    void SetUp() override
+    {
+        SchedPersistTest::SetUp();
+        const runtime::NetworkExecutor exec(gpu::GpuConfig::tegraX1());
+        const TuneRequest req = request();
+        art_ = makeTunedPlanArtifact(req, kWeightsCrc, exec.config(),
+                                     tune(exec, req));
+    }
+
+    void expectRejected(const TunedPlanArtifact &art)
+    {
+        saveTunedPlan(art, path("crafted.bin"));
+        try {
+            verifyTunedPlanFile(path("crafted.bin"));
+            FAIL() << "crafted tuned plan accepted";
+        } catch (const io::ArtifactError &e) {
+            EXPECT_TRUE(e.kind() == io::ErrorKind::LimitExceeded ||
+                        e.kind() == io::ErrorKind::Malformed)
+                << io::toString(e.kind()) << ": " << e.what();
+        }
+    }
+
+    static constexpr std::uint64_t kOver = io::ArtifactLimits{}.maxDim + 1;
+    TunedPlanArtifact art_;
+};
+
+TEST_F(CraftedTunedPlanTest, ZeroDimensionsRejected)
+{
+    for (std::size_t field = 0; field < 3; ++field) {
+        TunedPlanArtifact art = art_;
+        runtime::LstmLayerShape &l = art.shape.layers[0];
+        (field == 0 ? l.inputSize : field == 1 ? l.hiddenSize : l.length) =
+            0;
+        expectRejected(art);
+    }
+}
+
+TEST_F(CraftedTunedPlanTest, LayerLengthOverMaxDimRejected)
+{
+    TunedPlanArtifact art = art_;
+    art.shape.layers[0].length = kOver;
+    art.decisions.layers[0].tissueSizes.clear();
+    expectRejected(art);
+}
+
+TEST_F(CraftedTunedPlanTest, TissueSizeOverMaxDimRejected)
+{
+    TunedPlanArtifact art = art_;
+    art.decisions.layers[0].tissueSizes = {kOver};
+    expectRejected(art);
+}
+
+TEST_F(CraftedTunedPlanTest, TissuesNotCoveringTheLayerRejected)
+{
+    TunedPlanArtifact art = art_;
+    art.decisions.layers[0] = {};
+    art.decisions.layers[0].tissueSizes = {3, 3};  // layer length 20
+    expectRejected(art);
+}
+
+TEST_F(CraftedTunedPlanTest, BatchOverMaxDimRejected)
+{
+    TunedPlanArtifact layer = art_;
+    layer.decisions.layers[0].batch = kOver;
+    expectRejected(layer);
+
+    TunedPlanArtifact run = art_;
+    run.fingerprint.batch = kOver;
+    expectRejected(run);
 }
 
 } // namespace
