@@ -9,7 +9,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "core/approx.hh"
 #include "harness.hh"
 #include "nn/lstm.hh"
 #include "tensor/ops.hh"
@@ -129,8 +128,9 @@ BM_DrsCellForward(benchmark::State &state)
     const Vector x_proj = randomVector(4 * h, 12);
     nn::LstmState prev(h);
     for (auto _ : state) {
-        auto next = core::lstmCellForwardDrs(p, x_proj, prev, 0.4,
-                                             nn::SigmoidKind::Logistic);
+        auto next = nn::lstmCellForward(p, x_proj, prev,
+                                        nn::SigmoidKind::Logistic, nullptr,
+                                        nn::DrsSkip{0.4});
         benchmark::DoNotOptimize(next.h.data());
     }
 }

@@ -2,77 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <stdexcept>
 
 #include "quant/quantize.hh"
-#include "tensor/activations.hh"
 #include "tensor/ops.hh"
 
 namespace mflstm {
 namespace core {
-
-nn::LstmState
-lstmCellForwardDrs(const nn::LstmLayerParams &params, const Vector &x_proj,
-                   const nn::LstmState &prev, double alpha_intra,
-                   nn::SigmoidKind sk, std::size_t *skipped_rows,
-                   DrsStatePolicy policy)
-{
-    const std::size_t hid = params.hiddenSize();
-    assert(x_proj.size() == 4 * hid);
-
-    auto sig = [sk](float v) {
-        return sk == nn::SigmoidKind::Logistic ? tensor::sigmoid(v)
-                                               : tensor::hardSigmoid(v);
-    };
-
-    // Algorithm 3 lines 4-5: the output gate first.
-    Vector ro;
-    tensor::gemv(params.uo, prev.h, ro);
-    Vector o(hid);
-    for (std::size_t j = 0; j < hid; ++j)
-        o[j] = sig(x_proj[3 * hid + j] + ro[j] + params.bo[j]);
-
-    // Line 6: rows whose o_t element is near zero are trivial.
-    std::vector<std::uint32_t> skip;
-    for (std::size_t j = 0; j < hid; ++j) {
-        if (o[j] <= alpha_intra)
-            skip.push_back(static_cast<std::uint32_t>(j));
-    }
-    if (skipped_rows)
-        *skipped_rows = skip.size();
-
-    // Line 7: Sgemv(U_{f,i,c}, h, R) — skipped rows are neither loaded
-    // nor computed.
-    Vector rf, ri, rc;
-    tensor::gemvRowSkip(params.uf, prev.h, skip, rf);
-    tensor::gemvRowSkip(params.ui, prev.h, skip, ri);
-    tensor::gemvRowSkip(params.uc, prev.h, skip, rc);
-
-    std::vector<std::uint8_t> skipped(hid, 0);
-    for (std::uint32_t j : skip)
-        skipped[j] = 1;
-
-    // Line 8: the element-wise kernel. Under the default policy a
-    // skipped row's recurrent products are simply zero (gemvRowSkip
-    // already produced that), so the gates evaluate on the input
-    // projection alone; under ZeroState the whole element is nulled.
-    nn::LstmState next(hid);
-    for (std::size_t j = 0; j < hid; ++j) {
-        if (skipped[j] && policy == DrsStatePolicy::ZeroState) {
-            next.c[j] = 0.0f;
-            next.h[j] = 0.0f;
-            continue;
-        }
-        const float f = sig(x_proj[j] + rf[j] + params.bf[j]);
-        const float i = sig(x_proj[hid + j] + ri[j] + params.bi[j]);
-        const float g =
-            std::tanh(x_proj[2 * hid + j] + rc[j] + params.bc[j]);
-        next.c[j] = f * prev.c[j] + i * g;
-        next.h[j] = o[j] * std::tanh(next.c[j]);
-    }
-    return next;
-}
 
 ApproxRunner::ApproxRunner(const nn::LstmModel &model) : model_(model)
 {
@@ -147,6 +83,12 @@ ApproxRunner::runLayers(const std::vector<Vector> &inputs)
 {
     const nn::LstmModel &m = activeModel();
     const nn::SigmoidKind sk = m.config().sigmoid;
+    // alpha_intra = 0 runs the exact cell: a hard-sigmoid o_t can be
+    // exactly 0, which a zero threshold would still skip.
+    const std::optional<nn::DrsSkip> drs =
+        alphaIntra_ > 0.0
+            ? std::optional(nn::DrsSkip{alphaIntra_, drsPolicy_})
+            : std::nullopt;
     std::vector<Vector> acts = inputs;
 
     for (std::size_t l = 0; l < m.layers().size(); ++l) {
@@ -186,15 +128,10 @@ ApproxRunner::runLayers(const std::vector<Vector> &inputs)
                 state.c = pred_c;
             }
             ++st.cells;
-            if (alphaIntra_ > 0.0) {
-                std::size_t skipped = 0;
-                state = lstmCellForwardDrs(p, projs[t], state,
-                                           alphaIntra_, sk, &skipped,
-                                           drsPolicy_);
-                st.skippedRows += static_cast<double>(skipped);
-            } else {
-                state = nn::lstmCellForward(p, projs[t], state, sk);
-            }
+            std::size_t skipped = 0;
+            state = nn::lstmCellForward(p, projs[t], state, sk, nullptr,
+                                        drs, &skipped);
+            st.skippedRows += static_cast<double>(skipped);
             outs.push_back(state.h);
         }
         acts = std::move(outs);
@@ -280,18 +217,11 @@ ApproxRunner::profile(
                 prof.layerRelevances[l].push_back(sv);
             }
 
-            nn::LstmState state(p.hiddenSize());
-            std::vector<Vector> outs;
-            outs.reserve(projs.size());
-            for (std::size_t t = 0; t < projs.size(); ++t) {
-                nn::LstmCellTrace trace;
-                state = nn::lstmCellForward(p, projs[t], state, sk,
-                                            &trace);
-                for (std::size_t j = 0; j < trace.o.size(); ++j)
-                    prof.outputGates.push_back(trace.o[j]);
-                outs.push_back(state.h);
-            }
-            acts = std::move(outs);
+            std::vector<nn::LstmCellTrace> traces;
+            acts = nn::lstmLayerForward(p, projs, sk, &traces);
+            for (const nn::LstmCellTrace &trace : traces)
+                prof.outputGates.insert(prof.outputGates.end(),
+                                        trace.o.begin(), trace.o.end());
         }
     }
     std::sort(prof.relevances.begin(), prof.relevances.end());

@@ -8,9 +8,11 @@
  *    than alpha_inter, and substitute the predicted context link (Eq. 6)
  *    at every breakpoint;
  *
- *  - intra-cell DRS: per cell, compute the output gate o_t first; for
- *    elements with o_t <= alpha_intra, skip the corresponding rows of
- *    U_{f,i,c} — their cell-state elements become 0 (Section V-A).
+ *  - intra-cell DRS: per cell, compute the output gate o_t first and
+ *    skip the rows of U_{f,i,c} whose o_t <= alpha_intra (Algorithm 3).
+ *    The row skip itself lives in the one LSTM cell,
+ *    nn::lstmCellForward; this runner passes it the threshold and the
+ *    skipped-row policy (nn::DrsStatePolicy).
  *
  * The ApproxRunner drives a trained nn::LstmModel through these modified
  * dataflows and records the division/skip statistics that the timing
@@ -32,29 +34,6 @@
 
 namespace mflstm {
 namespace core {
-
-/**
- * What a DRS-skipped row means for the cell state. Algorithm 3 row-skips
- * only the Sgemv(U_{f,i,c}, h, R) kernel; the element-wise kernel of
- * line 8 carries no R argument, so the faithful reading (the default) is
- * that a skipped row merely loses its recurrent contribution
- * U_* h_{t-1} while the gate still evaluates on the input projection.
- * Section V-A's prose alternatively describes the affected c_t elements
- * as "approximated to zero"; ZeroState implements that harsher variant
- * (kept for the ablation study in bench_ablation).
- */
-enum class DrsStatePolicy {
-    DropRecurrent,  ///< skipped rows: gates see W x_t + b only (default)
-    ZeroState,      ///< skipped rows: c_t (and hence h_t) forced to 0
-};
-
-/** DRS cell step: Eq. 1-5 with rows skipped by the o_t threshold. */
-nn::LstmState
-lstmCellForwardDrs(const nn::LstmLayerParams &params,
-                   const Vector &x_proj, const nn::LstmState &prev,
-                   double alpha_intra, nn::SigmoidKind sk,
-                   std::size_t *skipped_rows = nullptr,
-                   DrsStatePolicy policy = DrsStatePolicy::DropRecurrent);
 
 /** Aggregated approximation statistics for one layer. */
 struct LayerApproxStats
@@ -119,9 +98,9 @@ class ApproxRunner
     double alphaInter() const { return alphaInter_; }
     double alphaIntra() const { return alphaIntra_; }
 
-    /** Select the DRS skipped-row semantics (see DrsStatePolicy). */
-    void setDrsPolicy(DrsStatePolicy policy) { drsPolicy_ = policy; }
-    DrsStatePolicy drsPolicy() const { return drsPolicy_; }
+    /** Select the DRS skipped-row semantics (see nn::DrsStatePolicy). */
+    void setDrsPolicy(nn::DrsStatePolicy policy) { drsPolicy_ = policy; }
+    nn::DrsStatePolicy drsPolicy() const { return drsPolicy_; }
 
     /**
      * Set the weight precision of the served model (DESIGN.md §12).
@@ -201,7 +180,7 @@ class ApproxRunner
     double alphaInter_ = 0.0;
     double alphaIntra_ = 0.0;
     quant::QuantMode quantMode_ = quant::QuantMode::Fp32;
-    DrsStatePolicy drsPolicy_ = DrsStatePolicy::DropRecurrent;
+    nn::DrsStatePolicy drsPolicy_ = nn::DrsStatePolicy::DropRecurrent;
 };
 
 /** classificationAccuracy through the approximate dataflow. */

@@ -88,9 +88,9 @@ CtaReorgModule::recordPass(const CrmResult &res,
     metrics_->gauge("crm.compaction_ratio")
         .set(in.value() > 0.0 ? (in.value() - dis.value()) / in.value()
                               : 1.0);
-    metrics_
-        ->histogram("crm.pipeline_cycles",
-                    obs::Histogram::exponentialEdges(1.0, 1e6, 13))
+    static const std::vector<double> cycle_edges =
+        obs::Histogram::exponentialEdges(1.0, 1e6, 13);
+    metrics_->histogram("crm.pipeline_cycles", cycle_edges)
         .observe(res.cycles);
 }
 

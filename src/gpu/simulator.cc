@@ -8,10 +8,12 @@ namespace gpu {
 namespace {
 
 /// bucket edges for cycle-valued histograms (1 cycle .. 1e9 cycles)
-std::vector<double>
+const std::vector<double> &
 cycleEdges()
 {
-    return obs::Histogram::exponentialEdges(1.0, 1e9, 19);
+    static const std::vector<double> edges =
+        obs::Histogram::exponentialEdges(1.0, 1e9, 19);
+    return edges;
 }
 
 } // anonymous namespace
@@ -89,8 +91,9 @@ Simulator::recordKernel(const KernelDesc &desc, const KernelTiming &t,
         m.counter("drs.kernels_with_skip").add(1.0);
         m.counter("drs.rows_skipped")
             .add(static_cast<double>(desc.disabledThreads));
-        m.histogram("drs.rows_skipped_per_kernel",
-                    obs::Histogram::exponentialEdges(1.0, 1e6, 13))
+        static const std::vector<double> row_edges =
+            obs::Histogram::exponentialEdges(1.0, 1e6, 13);
+        m.histogram("drs.rows_skipped_per_kernel", row_edges)
             .observe(static_cast<double>(desc.disabledThreads));
     }
 

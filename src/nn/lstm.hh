@@ -1,17 +1,19 @@
 /**
  * @file
  * LSTM cell and layer forward pass implementing Eq. 1-5 of the paper,
- * with the gate-level tracing hooks that both the BPTT trainer and the
- * paper's approximation passes (relevance analysis, Dynamic Row Skip)
- * need. The heavyweight matrix products follow the cuDNN decomposition of
- * Section II-C: a per-layer Sgemm over the inputs (W x_t for all t) and a
- * per-cell Sgemv over the recurrent state (U h_{t-1}).
+ * with its Dynamic Row Skip variant (Algorithm 3) and the gate-level
+ * tracing hooks that both the BPTT trainer and the paper's approximation
+ * passes need. The heavyweight matrix products follow the cuDNN
+ * decomposition of Section II-C: a per-layer Sgemm over the inputs
+ * (W x_t for all t) and a per-cell Sgemv over the recurrent state
+ * (U h_{t-1}).
  */
 
 #ifndef MFLSTM_NN_LSTM_HH
 #define MFLSTM_NN_LSTM_HH
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "tensor/matrix.hh"
@@ -25,6 +27,31 @@ using tensor::Vector;
 
 /** Which sigmoid variant the gates use (Section IV-A, Fig. 7). */
 enum class SigmoidKind { Logistic, Hard };
+
+/**
+ * What a DRS-skipped row means for the cell state. Algorithm 3 row-skips
+ * only the Sgemv(U_{f,i,c}, h, R) kernel; the element-wise kernel of
+ * line 8 carries no R argument, so the faithful reading (the default) is
+ * that a skipped row merely loses its recurrent contribution
+ * U_* h_{t-1} while the gate still evaluates on the input projection.
+ * Section V-A's prose alternatively describes the affected c_t elements
+ * as "approximated to zero"; ZeroState implements that harsher variant
+ * (kept for the ablation study in bench_ablation).
+ */
+enum class DrsStatePolicy {
+    DropRecurrent,  ///< skipped rows: gates see W x_t + b only (default)
+    ZeroState,      ///< skipped rows: c_t (and hence h_t) forced to 0
+};
+
+/**
+ * Dynamic Row Skip for one cell (Algorithm 3): the rows whose output
+ * gate element is at most alphaIntra skip their U_{f,i,c} products.
+ */
+struct DrsSkip
+{
+    double alphaIntra = 0.0;
+    DrsStatePolicy policy = DrsStatePolicy::DropRecurrent;
+};
 
 /**
  * Parameters of one LSTM layer: four input projections W_* (hidden x
@@ -98,21 +125,30 @@ std::vector<Vector> projectInputs(const LstmLayerParams &p,
 
 /**
  * One LSTM cell step (Eq. 1-5) given the precomputed input projection for
- * this timestep. @param x_proj is the 4H vector W_{f,i,c,o} x_t (no bias).
+ * this timestep, in Algorithm 3's order: o_t first, then the f/i/c rows.
+ * Without @p drs every row is computed and this is the exact cell.
+ *
+ * @param x_proj        the 4H vector W_{f,i,c,o} x_t (no bias)
+ * @param drs           Dynamic Row Skip threshold and skipped-row policy
+ * @param skipped_rows  when non-null, receives the number of DRS-skipped
+ *                      rows (0 without @p drs)
  */
 LstmState lstmCellForward(const LstmLayerParams &p, const Vector &x_proj,
                           const LstmState &prev,
                           SigmoidKind sk = SigmoidKind::Logistic,
-                          LstmCellTrace *trace = nullptr);
+                          LstmCellTrace *trace = nullptr,
+                          const std::optional<DrsSkip> &drs = std::nullopt,
+                          std::size_t *skipped_rows = nullptr);
 
 /**
- * Full-layer forward: runs the per-layer input Sgemm then chains the
- * cells. Returns h_t for every timestep.
+ * Full-layer forward: chains the exact cells over the layer's input
+ * projections. Returns h_t for every timestep.
  *
- * @param traces  when non-null, receives one LstmCellTrace per timestep.
+ * @param x_projs  projectInputs(p, xs): one 4H projection per timestep
+ * @param traces   when non-null, receives one LstmCellTrace per timestep.
  */
 std::vector<Vector> lstmLayerForward(const LstmLayerParams &p,
-                                     const std::vector<Vector> &xs,
+                                     const std::vector<Vector> &x_projs,
                                      SigmoidKind sk = SigmoidKind::Logistic,
                                      std::vector<LstmCellTrace> *traces
                                          = nullptr);

@@ -102,7 +102,8 @@ LstmModel::runLayers(const std::vector<Vector> &inputs,
 
     std::vector<Vector> acts = inputs;
     for (std::size_t l = 0; l < layers_.size(); ++l) {
-        acts = lstmLayerForward(layers_[l], acts, cfg_.sigmoid,
+        acts = lstmLayerForward(layers_[l], projectInputs(layers_[l], acts),
+                                cfg_.sigmoid,
                                 traces ? &(*traces)[l] : nullptr);
     }
     return acts;

@@ -34,10 +34,12 @@ wallMsSince(std::chrono::steady_clock::time_point t0)
 }
 
 /** Shared edges for every serve-side millisecond histogram. */
-std::vector<double>
+const std::vector<double> &
 serveMsEdges()
 {
-    return obs::Histogram::exponentialEdges(1e-3, 1e5, 33);
+    static const std::vector<double> edges =
+        obs::Histogram::exponentialEdges(1e-3, 1e5, 33);
+    return edges;
 }
 
 /**

@@ -1,15 +1,23 @@
 /**
  * @file
  * Tests for the functional approximations: DRS cell semantics (both
- * state policies), the link predictor, and the ApproxRunner — in
- * particular that zero thresholds reproduce the exact model bit-for-bit
- * and that the statistics it reports are consistent.
+ * state policies, and bit-identity of the one LSTM cell against
+ * reference cells built from the tensor kernels), the link predictor,
+ * and the ApproxRunner — in particular that zero thresholds reproduce
+ * the exact model bit-for-bit and that the statistics it reports are
+ * consistent.
  */
+
+#include <cmath>
+#include <cstring>
+#include <optional>
 
 #include <gtest/gtest.h>
 
 #include "core/approx.hh"
 #include "core/predictor.hh"
+#include "tensor/activations.hh"
+#include "tensor/ops.hh"
 #include "tensor/rng.hh"
 
 namespace {
@@ -55,15 +63,13 @@ TEST(DrsCell, NoThresholdMatchesExactCell)
     prev.c[3] = -0.7f;
 
     std::size_t skipped = 123;
-    const auto drs = lstmCellForwardDrs(p, x_proj, prev, 0.0,
-                                        nn::SigmoidKind::Logistic,
-                                        &skipped);
+    const auto drs = nn::lstmCellForward(p, x_proj, prev,
+                                         nn::SigmoidKind::Logistic, nullptr,
+                                         nn::DrsSkip{0.0}, &skipped);
     const auto exact = nn::lstmCellForward(p, x_proj, prev);
     EXPECT_EQ(skipped, 0u);
-    for (std::size_t j = 0; j < 6; ++j) {
-        EXPECT_NEAR(drs.h[j], exact.h[j], 1e-6f);
-        EXPECT_NEAR(drs.c[j], exact.c[j], 1e-6f);
-    }
+    EXPECT_EQ(drs.h, exact.h);
+    EXPECT_EQ(drs.c, exact.c);
 }
 
 TEST(DrsCell, ThresholdOneSkipsEverything)
@@ -76,8 +82,8 @@ TEST(DrsCell, ThresholdOneSkipsEverything)
     prev.h[0] = 0.5f;
 
     std::size_t skipped = 0;
-    lstmCellForwardDrs(p, x_proj, prev, 0.999999,
-                       nn::SigmoidKind::Logistic, &skipped);
+    nn::lstmCellForward(p, x_proj, prev, nn::SigmoidKind::Logistic, nullptr,
+                        nn::DrsSkip{0.999999}, &skipped);
     EXPECT_EQ(skipped, 6u);
 }
 
@@ -90,10 +96,9 @@ TEST(DrsCell, ZeroStatePolicyNullsSkippedElements)
     nn::LstmState prev(6);
     prev.c[1] = 2.0f;
 
-    const auto out = lstmCellForwardDrs(p, x_proj, prev, 0.999999,
-                                        nn::SigmoidKind::Logistic,
-                                        nullptr,
-                                        DrsStatePolicy::ZeroState);
+    const auto out = nn::lstmCellForward(
+        p, x_proj, prev, nn::SigmoidKind::Logistic, nullptr,
+        nn::DrsSkip{0.999999, nn::DrsStatePolicy::ZeroState});
     for (std::size_t j = 0; j < 6; ++j) {
         EXPECT_FLOAT_EQ(out.c[j], 0.0f);
         EXPECT_FLOAT_EQ(out.h[j], 0.0f);
@@ -111,8 +116,9 @@ TEST(DrsCell, DropRecurrentKeepsInputDrivenState)
     nn::LstmState prev(6);
     prev.c[1] = 2.0f;
 
-    const auto out = lstmCellForwardDrs(p, x_proj, prev, 0.999999,
-                                        nn::SigmoidKind::Logistic);
+    const auto out = nn::lstmCellForward(p, x_proj, prev,
+                                         nn::SigmoidKind::Logistic, nullptr,
+                                         nn::DrsSkip{0.999999});
     EXPECT_NE(out.c[1], 0.0f);  // forget path survived
 }
 
@@ -134,9 +140,9 @@ TEST(DrsCell, SkippedRowsLoseOnlyRecurrentTerm)
     prev.c[0] = 0.8f;
 
     std::size_t skipped = 0;
-    const auto drs = lstmCellForwardDrs(p, x_proj, prev, 0.01,
-                                        nn::SigmoidKind::Logistic,
-                                        &skipped);
+    const auto drs = nn::lstmCellForward(p, x_proj, prev,
+                                         nn::SigmoidKind::Logistic, nullptr,
+                                         nn::DrsSkip{0.01}, &skipped);
     ASSERT_EQ(skipped, 1u);
 
     nn::LstmLayerParams stripped = p;
@@ -150,6 +156,142 @@ TEST(DrsCell, SkippedRowsLoseOnlyRecurrentTerm)
         EXPECT_NEAR(drs.c[j], exact.c[j], 1e-6f);
         EXPECT_NEAR(drs.h[j], exact.h[j], 1e-6f);
     }
+}
+
+// Reference exact cell spelled out from the tensor kernels: four
+// tensor::gemv products, then Eq. 1-5 in one element-wise loop.
+nn::LstmState
+referenceExactCell(const nn::LstmLayerParams &p, const Vector &x_proj,
+                   const nn::LstmState &prev, nn::SigmoidKind sk)
+{
+    const std::size_t hid = p.hiddenSize();
+    auto sig = [sk](float v) {
+        return sk == nn::SigmoidKind::Logistic ? tensor::sigmoid(v)
+                                               : tensor::hardSigmoid(v);
+    };
+    Vector rf, ri, rc, ro;
+    tensor::gemv(p.uf, prev.h, rf);
+    tensor::gemv(p.ui, prev.h, ri);
+    tensor::gemv(p.uc, prev.h, rc);
+    tensor::gemv(p.uo, prev.h, ro);
+
+    nn::LstmState next(hid);
+    for (std::size_t j = 0; j < hid; ++j) {
+        const float f = sig(x_proj[j] + rf[j] + p.bf[j]);
+        const float i = sig(x_proj[hid + j] + ri[j] + p.bi[j]);
+        const float g = std::tanh(x_proj[2 * hid + j] + rc[j] + p.bc[j]);
+        const float o = sig(x_proj[3 * hid + j] + ro[j] + p.bo[j]);
+        next.c[j] = f * prev.c[j] + i * g;
+        next.h[j] = o * std::tanh(next.c[j]);
+    }
+    return next;
+}
+
+// Reference DRS cell spelled out from the tensor kernels as Algorithm 3
+// lays it out: o_t from its own gemv, the skip list R, three
+// tensor::gemvRowSkip products, then the element-wise kernel.
+nn::LstmState
+referenceDrsCell(const nn::LstmLayerParams &p, const Vector &x_proj,
+                 const nn::LstmState &prev, nn::SigmoidKind sk,
+                 const nn::DrsSkip &drs, std::size_t &skipped_rows)
+{
+    const std::size_t hid = p.hiddenSize();
+    auto sig = [sk](float v) {
+        return sk == nn::SigmoidKind::Logistic ? tensor::sigmoid(v)
+                                               : tensor::hardSigmoid(v);
+    };
+    Vector ro;
+    tensor::gemv(p.uo, prev.h, ro);
+    Vector o(hid);
+    std::vector<std::uint32_t> skip;
+    std::vector<std::uint8_t> skipped(hid, 0);
+    for (std::size_t j = 0; j < hid; ++j) {
+        o[j] = sig(x_proj[3 * hid + j] + ro[j] + p.bo[j]);
+        if (o[j] <= drs.alphaIntra) {
+            skip.push_back(static_cast<std::uint32_t>(j));
+            skipped[j] = 1;
+        }
+    }
+    skipped_rows = skip.size();
+
+    Vector rf, ri, rc;
+    tensor::gemvRowSkip(p.uf, prev.h, skip, rf);
+    tensor::gemvRowSkip(p.ui, prev.h, skip, ri);
+    tensor::gemvRowSkip(p.uc, prev.h, skip, rc);
+
+    nn::LstmState next(hid);
+    for (std::size_t j = 0; j < hid; ++j) {
+        if (skipped[j] && drs.policy == nn::DrsStatePolicy::ZeroState)
+            continue;  // c_t and h_t stay 0
+        const float f = sig(x_proj[j] + rf[j] + p.bf[j]);
+        const float i = sig(x_proj[hid + j] + ri[j] + p.bi[j]);
+        const float g = std::tanh(x_proj[2 * hid + j] + rc[j] + p.bc[j]);
+        next.c[j] = f * prev.c[j] + i * g;
+        next.h[j] = o[j] * std::tanh(next.c[j]);
+    }
+    return next;
+}
+
+bool
+sameBits(const Vector &a, const Vector &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(DrsCell, MergedCellIsBitIdenticalToReferenceCells)
+{
+    // The merged cell chained over many steps must reproduce both
+    // reference formulations bit for bit, skip counts included, across
+    // sizes, sigmoid kinds, thresholds (hard-sigmoid o_t reaches exactly
+    // 0 and 1) and both skipped-row policies.
+    constexpr std::size_t steps = 60;
+    std::vector<std::optional<nn::DrsSkip>> cases = {std::nullopt};
+    for (double alpha : {0.05, 0.2, 0.4, 0.6}) {
+        for (nn::DrsStatePolicy policy :
+             {nn::DrsStatePolicy::DropRecurrent,
+              nn::DrsStatePolicy::ZeroState})
+            cases.push_back(nn::DrsSkip{alpha, policy});
+    }
+
+    std::size_t checked = 0;
+    std::size_t total_skipped = 0;
+    for (std::size_t hid : {10u, 48u}) {
+        nn::LstmLayerParams p(8, hid);
+        tensor::Rng rng(100 + hid);
+        p.init(rng);
+        std::vector<Vector> x_projs(steps, Vector(4 * hid));
+        for (Vector &x : x_projs)
+            for (float &v : x)
+                v = rng.uniform(-4.0f, 4.0f);
+
+        for (nn::SigmoidKind sk :
+             {nn::SigmoidKind::Logistic, nn::SigmoidKind::Hard}) {
+            for (const auto &drs : cases) {
+                nn::LstmState merged(hid);
+                nn::LstmState ref(hid);
+                for (std::size_t t = 0; t < steps; ++t) {
+                    std::size_t merged_skipped = 99;
+                    std::size_t ref_skipped = 0;
+                    merged = nn::lstmCellForward(p, x_projs[t], merged, sk,
+                                                 nullptr, drs,
+                                                 &merged_skipped);
+                    ref = drs ? referenceDrsCell(p, x_projs[t], ref, sk,
+                                                 *drs, ref_skipped)
+                              : referenceExactCell(p, x_projs[t], ref, sk);
+                    ASSERT_TRUE(sameBits(merged.h, ref.h))
+                        << "hid " << hid << " step " << t;
+                    ASSERT_TRUE(sameBits(merged.c, ref.c))
+                        << "hid " << hid << " step " << t;
+                    ASSERT_EQ(merged_skipped, ref_skipped);
+                    total_skipped += ref_skipped;
+                    ++checked;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(checked, 2u * 2u * 9u * steps);
+    EXPECT_GT(total_skipped, 0u);  // the DRS cases really skipped rows
 }
 
 TEST(LinkPredictor, ExpectationTracksObservedLinks)

@@ -178,8 +178,8 @@ TEST(LstmLayer, ForwardIsDeterministic)
     const LstmLayerParams p = makeParams(2, 4, 8);
     std::vector<tensor::Vector> xs(5, tensor::Vector(2, 0.3f));
 
-    const auto a = lstmLayerForward(p, xs);
-    const auto b = lstmLayerForward(p, xs);
+    const auto a = lstmLayerForward(p, projectInputs(p, xs));
+    const auto b = lstmLayerForward(p, projectInputs(p, xs));
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t t = 0; t < a.size(); ++t)
         EXPECT_EQ(a[t], b[t]);
@@ -191,8 +191,8 @@ TEST(LstmLayer, TracesOnePerTimestep)
     std::vector<tensor::Vector> xs(6, tensor::Vector(2, 0.1f));
 
     std::vector<LstmCellTrace> traces;
-    const auto outs = lstmLayerForward(p, xs, SigmoidKind::Logistic,
-                                       &traces);
+    const auto outs = lstmLayerForward(p, projectInputs(p, xs),
+                                       SigmoidKind::Logistic, &traces);
     ASSERT_EQ(traces.size(), 6u);
     for (std::size_t t = 0; t < 6; ++t)
         EXPECT_EQ(traces[t].h, outs[t]);
@@ -206,8 +206,9 @@ TEST(LstmLayer, HardSigmoidVariantDiffersButBounded)
     const LstmLayerParams p = makeParams(2, 4, 10);
     std::vector<tensor::Vector> xs(4, tensor::Vector(2, 0.5f));
 
-    const auto logistic = lstmLayerForward(p, xs, SigmoidKind::Logistic);
-    const auto hard = lstmLayerForward(p, xs, SigmoidKind::Hard);
+    const auto projs = projectInputs(p, xs);
+    const auto logistic = lstmLayerForward(p, projs, SigmoidKind::Logistic);
+    const auto hard = lstmLayerForward(p, projs, SigmoidKind::Hard);
 
     bool any_diff = false;
     for (std::size_t t = 0; t < 4; ++t) {
