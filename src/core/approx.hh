@@ -105,8 +105,8 @@ class ApproxRunner
     /**
      * Set the weight precision of the served model (DESIGN.md §12).
      * A non-fp32 mode swaps the forward passes onto a fake-quantized
-     * copy of the model (bit-identical to running the in-register
-     * dequant kernels of tensor/qmatrix.hh) and rebuilds the relevance
+     * copy of the model (quant::applyFakeQuant: every W/U weight is
+     * its row scale times its integer code) and rebuilds the relevance
      * contexts from the quantized rows; Fp32 restores the original.
      * Calibration is expected to happen at fp32 before a quantized
      * mode is selected (the facade orders it that way).

@@ -26,7 +26,11 @@
 namespace mflstm {
 namespace core {
 
-/** CRC32 over every weight byte of @p model, in serialization order. */
+/**
+ * CRC32 over every trainable parameter of @p model in a fixed order
+ * (embedding, per-layer W/U/b, head): the one weight fingerprint that
+ * calibration, warm-state and tuned-plan artifacts record.
+ */
 std::uint32_t modelWeightsCrc(const nn::LstmModel &model);
 
 /**

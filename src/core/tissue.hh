@@ -50,7 +50,7 @@ alignTissues(const std::vector<std::size_t> &sub_layer_lengths,
 struct MtsResult
 {
     std::size_t mts = 1;
-    /// per sweep point: layer wall time (microseconds)
+    /// per sweep point: simulated layer time (microseconds)
     std::vector<double> timesUs;
     /// per sweep point: shared-memory bandwidth utilisation
     std::vector<double> sharedUtilization;

@@ -54,7 +54,7 @@ struct TraceResult
     double dramUtilization = 0.0;
     double sharedUtilization = 0.0;
 
-    /// wall time per kernel class, microseconds
+    /// simulated time per kernel class, microseconds
     std::map<KernelClass, double> timePerClassUs;
     /// kernel count per class
     std::map<KernelClass, std::size_t> kernelsPerClass;
@@ -64,7 +64,7 @@ struct TraceResult
 
     EnergyReport energy;
 
-    /** Share of trace wall time spent in a kernel class, [0,1]. */
+    /** Share of simulated trace time spent in a kernel class, [0,1]. */
     double classShare(KernelClass k) const;
 };
 

@@ -55,7 +55,7 @@ const char *toString(KernelBound b);
 struct KernelTiming
 {
     double cycles = 0.0;        ///< on-GPU execution cycles
-    double timeUs = 0.0;        ///< wall time incl. launch overhead
+    double timeUs = 0.0;        ///< simulated time incl. launch overhead
     double computeCycles = 0.0; ///< cycles retiring useful FP work
     double dequantCycles = 0.0; ///< dequant-convert share of computeCycles
     KernelBound boundBy = KernelBound::Compute;

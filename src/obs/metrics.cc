@@ -149,9 +149,9 @@ MetricsRegistry::gauge(const std::string &name)
 
 Histogram &
 MetricsRegistry::histogram(const std::string &name,
-                           std::vector<double> edges)
+                           const std::vector<double> &edges)
 {
-    return histogram(name, {}, std::move(edges));
+    return histogram(name, {}, edges);
 }
 
 Counter &
@@ -170,14 +170,14 @@ MetricsRegistry::gauge(const std::string &name, Labels labels)
 
 Histogram &
 MetricsRegistry::histogram(const std::string &name, Labels labels,
-                           std::vector<double> edges)
+                           const std::vector<double> &edges)
 {
     std::lock_guard<std::mutex> lock(mu_);
     SeriesKey key = makeKey(name, std::move(labels));
     const auto it = histograms_.find(key);
     if (it != histograms_.end())
         return it->second;
-    return histograms_.try_emplace(std::move(key), std::move(edges))
+    return histograms_.try_emplace(std::move(key), edges)
         .first->second;
 }
 

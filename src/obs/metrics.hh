@@ -153,9 +153,12 @@ class MetricsRegistry
   public:
     Counter &counter(const std::string &name);
     Gauge &gauge(const std::string &name);
-    /** @p edges is only consulted when the histogram does not exist yet. */
+    /**
+     * @p edges is only consulted (and copied) when the histogram does
+     * not exist yet, so hot paths pass a long-lived vector.
+     */
     Histogram &histogram(const std::string &name,
-                         std::vector<double> edges);
+                         const std::vector<double> &edges);
 
     /**
      * Labeled series of an instrument family (e.g. per-replica
@@ -166,7 +169,7 @@ class MetricsRegistry
     Counter &counter(const std::string &name, Labels labels);
     Gauge &gauge(const std::string &name, Labels labels);
     Histogram &histogram(const std::string &name, Labels labels,
-                         std::vector<double> edges);
+                         const std::vector<double> &edges);
 
     const Counter *findCounter(const std::string &name) const;
     const Gauge *findGauge(const std::string &name) const;

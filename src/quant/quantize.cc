@@ -1,90 +1,13 @@
 #include "quant/quantize.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
-#include "io/artifact.hh"
 #include "tensor/ops.hh"
 
 namespace mflstm {
 namespace quant {
-
-namespace {
-
-/** The W/U matrices of one layer in serialization order. */
-std::vector<tensor::Matrix *>
-weightMatrices(nn::LstmLayerParams &p)
-{
-    return {&p.wf, &p.wi, &p.wc, &p.wo, &p.uf, &p.ui, &p.uc, &p.uo};
-}
-
-std::vector<tensor::QuantizedMatrix *>
-weightMatrices(QuantizedLayer &l)
-{
-    return {&l.wf, &l.wi, &l.wc, &l.wo, &l.uf, &l.ui, &l.uc, &l.uo};
-}
-
-std::vector<const tensor::QuantizedMatrix *>
-weightMatrices(const QuantizedLayer &l)
-{
-    return {&l.wf, &l.wi, &l.wc, &l.wo, &l.uf, &l.ui, &l.uc, &l.uo};
-}
-
-} // namespace
-
-std::uint32_t
-modelWeightsCrc(const nn::LstmModel &model)
-{
-    std::uint32_t crc = 0;
-    const auto feed = [&](const float *data, std::size_t n) {
-        crc = io::crc32(data, n * sizeof(float), crc);
-    };
-    feed(model.embedding().table.data(), model.embedding().table.size());
-    for (const nn::LstmLayerParams &p : model.layers()) {
-        for (const tensor::Matrix *m :
-             {&p.wf, &p.wi, &p.wc, &p.wo, &p.uf, &p.ui, &p.uc, &p.uo})
-            feed(m->data(), m->size());
-        for (const tensor::Vector *v : {&p.bf, &p.bi, &p.bc, &p.bo})
-            feed(v->data(), v->size());
-    }
-    feed(model.head().w.data(), model.head().w.size());
-    feed(model.head().b.data(), model.head().b.size());
-    return crc;
-}
-
-QuantizedModel
-quantizeModel(const nn::LstmModel &model, QuantMode mode)
-{
-    assert(mode != QuantMode::Fp32);
-    QuantizedModel out;
-    out.mode = mode;
-    out.sourceWeightsCrc = modelWeightsCrc(model);
-    out.layers.resize(model.layers().size());
-    for (std::size_t l = 0; l < model.layers().size(); ++l) {
-        const nn::LstmLayerParams &p = model.layers()[l];
-        const tensor::Matrix *src[] = {&p.wf, &p.wi, &p.wc, &p.wo,
-                                       &p.uf, &p.ui, &p.uc, &p.uo};
-        auto dst = weightMatrices(out.layers[l]);
-        for (std::size_t i = 0; i < dst.size(); ++i)
-            *dst[i] = tensor::QuantizedMatrix::quantize(*src[i], mode);
-    }
-    return out;
-}
-
-void
-dequantizeInto(const QuantizedModel &q, nn::LstmModel &model)
-{
-    assert(q.layers.size() == model.layers().size());
-    for (std::size_t l = 0; l < q.layers.size(); ++l) {
-        auto src = weightMatrices(q.layers[l]);
-        auto dst = weightMatrices(model.layers()[l]);
-        for (std::size_t i = 0; i < src.size(); ++i) {
-            assert(src[i]->rows() == dst[i]->rows() &&
-                   src[i]->cols() == dst[i]->cols());
-            *dst[i] = src[i]->dequantize();
-        }
-    }
-}
 
 FakeQuantStats
 applyFakeQuant(nn::LstmModel &model, QuantMode mode)
@@ -93,27 +16,40 @@ applyFakeQuant(nn::LstmModel &model, QuantMode mode)
     st.mode = mode;
     if (mode == QuantMode::Fp32)
         return st;
+    const int qm = qmax(mode);
     double err_sum = 0.0;
     for (nn::LstmLayerParams &p : model.layers()) {
-        for (tensor::Matrix *m : weightMatrices(p)) {
-            const tensor::QuantizedMatrix q =
-                tensor::QuantizedMatrix::quantize(*m, mode);
+        for (tensor::Matrix *m :
+             {&p.wf, &p.wi, &p.wc, &p.wo, &p.uf, &p.ui, &p.uc, &p.uo}) {
+            const std::size_t packed_row_bytes =
+                mode == QuantMode::Int4 ? (m->cols() + 1) / 2 : m->cols();
             st.matrices += 1;
             st.elements += m->size();
             st.fp32Bytes += static_cast<double>(m->bytes());
-            st.quantBytes +=
-                static_cast<double>(q.payload().size()) +
-                static_cast<double>(q.scales().size() * sizeof(float));
-            for (std::size_t r = 0; r < m->rows(); ++r)
-                for (std::size_t c = 0; c < m->cols(); ++c) {
-                    const float dq = q.dequant(r, c);
-                    const double e =
-                        std::fabs(static_cast<double>(m->at(r, c)) -
-                                  static_cast<double>(dq));
+            st.quantBytes += static_cast<double>(
+                m->rows() * (packed_row_bytes + sizeof(float)));
+            for (std::size_t r = 0; r < m->rows(); ++r) {
+                float absmax = 0.0f;
+                for (const float w : m->row(r))
+                    absmax = std::max(absmax, std::fabs(w));
+                // A zero row keeps scale 1 so 1/s stays finite: every
+                // code is 0 and the dequantized row is exactly zero.
+                const float s =
+                    absmax > 0.0f ? absmax / static_cast<float>(qm) : 1.0f;
+                const float inv = 1.0f / s;
+                for (float &w : m->row(r)) {
+                    const int q = std::clamp(
+                        static_cast<int>(
+                            std::lround(static_cast<double>(w) * inv)),
+                        -qm, qm);
+                    const float dq = s * static_cast<float>(q);
+                    const double e = std::fabs(static_cast<double>(w) -
+                                               static_cast<double>(dq));
                     st.maxAbsError = std::max(st.maxAbsError, e);
                     err_sum += e;
-                    m->at(r, c) = dq;
+                    w = dq;
                 }
+            }
         }
     }
     if (st.elements > 0)

@@ -2,18 +2,12 @@
  * @file
  * Post-training weight quantization of an LSTM model (DESIGN.md §12).
  *
- * Two complementary representations of "the same" quantized network:
- *
- *  - QuantizedModel: the integer codes + per-row scales of every W/U
- *    matrix — what the artifact container persists and what a deployed
- *    kernel would stream from DRAM;
- *
- *  - fake-quant (applyFakeQuant): the quantize-dequantize round trip
- *    applied in place to an fp32 model, so the existing fp32 dataflow
- *    (ApproxRunner, DRS, tissues) computes *exactly* what the
- *    dequantize-in-register kernels of tensor/qmatrix.hh compute. The
- *    accuracy the ladder measures through a fake-quantized model is
- *    therefore the accuracy of serving the quantized artifact.
+ * The quantized network is represented one way: fake-quant
+ * (applyFakeQuant) rounds every W/U weight in place to the value its
+ * symmetric per-row integer code dequantizes to, so the existing fp32
+ * dataflow (ApproxRunner, DRS, tissues) serves the quantized network.
+ * The narrower DRAM fetch of the packed codes is priced by the
+ * lowering (quant::bytesPerWeight), not materialized.
  *
  * Error bound: per-row symmetric quantization guarantees
  * |w - s_r q| <= s_r/2 = absmax_r/(2 qmax), so a GEMV row output
@@ -29,47 +23,9 @@
 
 #include "nn/model.hh"
 #include "quant/qformat.hh"
-#include "tensor/qmatrix.hh"
 
 namespace mflstm {
 namespace quant {
-
-/** The eight quantized gate matrices of one layer (biases stay fp32). */
-struct QuantizedLayer
-{
-    tensor::QuantizedMatrix wf, wi, wc, wo;  ///< input weights (H x E)
-    tensor::QuantizedMatrix uf, ui, uc, uo;  ///< recurrent weights (H x H)
-
-    bool operator==(const QuantizedLayer &) const = default;
-};
-
-/** A fully quantized weight set, fingerprinted against its fp32 source. */
-struct QuantizedModel
-{
-    QuantMode mode = QuantMode::Int8;
-    /// quant::modelWeightsCrc of the fp32 model this was produced from
-    std::uint32_t sourceWeightsCrc = 0;
-    std::vector<QuantizedLayer> layers;
-
-    bool operator==(const QuantizedModel &) const = default;
-};
-
-/**
- * CRC32 over every trainable parameter in a fixed order (embedding,
- * per-layer W/U/b, head). This is the single weight-fingerprint
- * algorithm of the artifact layer — core::modelWeightsCrc delegates
- * here so calibration, warm-state and quantized artifacts all agree.
- */
-std::uint32_t modelWeightsCrc(const nn::LstmModel &model);
-
-/** Quantize every W/U matrix of @p model. @p mode must not be Fp32. */
-QuantizedModel quantizeModel(const nn::LstmModel &model, QuantMode mode);
-
-/**
- * Overwrite @p model's W/U matrices with @p q's dequantized values.
- * Dimensions must match (assert); biases/embedding/head are untouched.
- */
-void dequantizeInto(const QuantizedModel &q, nn::LstmModel &model);
 
 /** What applyFakeQuant did to the weights. */
 struct FakeQuantStats
@@ -80,7 +36,9 @@ struct FakeQuantStats
     double maxAbsError = 0.0;  ///< max |w - dequant(quant(w))|
     double meanAbsError = 0.0;
     double fp32Bytes = 0.0;    ///< what the rewritten matrices occupied
-    double quantBytes = 0.0;   ///< what their quantized form occupies
+    /// what their packed codes (rows * ceil(cols / 2) bytes for int4)
+    /// plus one fp32 scale per row occupy
+    double quantBytes = 0.0;
 
     /** Weight-byte compression (4x for int8, 8x for int4). */
     double compressionRatio() const
@@ -90,8 +48,10 @@ struct FakeQuantStats
 };
 
 /**
- * Quantize-dequantize every W/U matrix of @p model in place. Fp32 mode
- * is a no-op (zero-error stats). Idempotent: quantizing an already
+ * Quantize-dequantize every W/U matrix of @p model in place: row r
+ * gets scale s = absmax_r/qmax (1 for an all-zero row) and each weight
+ * becomes s * clamp(round(w/s), ±qmax). Fp32 mode is a no-op
+ * (zero-error stats). Idempotent: quantizing an already
  * fake-quantized model reproduces it exactly, because every value is
  * already representable at its row's scale.
  */

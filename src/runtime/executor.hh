@@ -42,7 +42,7 @@ struct RunReport
     }
 };
 
-/** Speedup of @p opt over @p base (wall time ratio). */
+/** Speedup of @p opt over @p base (simulated time ratio). */
 double speedup(const RunReport &base, const RunReport &opt);
 
 /** Energy saving of @p opt vs @p base, percent of baseline energy. */

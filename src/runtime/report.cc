@@ -28,7 +28,7 @@ formatRunReport(const RunReport &report)
     os.precision(2);
 
     os << "plan: " << toString(report.kind) << "\n";
-    appendLine(os, "wall time          ", r.timeUs / 1e3, " ms");
+    appendLine(os, "simulated time     ", r.timeUs / 1e3, " ms");
     appendLine(os, "kernels            ",
                static_cast<double>(r.kernelCount), "");
     appendLine(os, "DRAM traffic       ", r.dramBytes / 1e6, " MB");

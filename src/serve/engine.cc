@@ -109,7 +109,8 @@ thread_local FaultSite t_batchSite;
 
 InferenceEngine::InferenceEngine(const core::MemoryFriendlyLstm &mf,
                                  const Options &opts)
-    : opts_(opts), shape_(mf.config().timingShape),
+    : opts_(opts), batchSizeEdges_(batchSizeEdges(opts.maxBatch)),
+      shape_(mf.config().timingShape),
       task_(mf.runner().model().config().task),
       queue_(QueueOptions{opts.queueCapacity, opts.admission,
                           opts.admitTimeoutMs}),
@@ -188,7 +189,8 @@ InferenceEngine::InferenceEngine(const core::MemoryFriendlyLstm &mf,
 InferenceEngine::InferenceEngine(const core::MemoryFriendlyLstm &mf,
                                  const Options &opts,
                                  const EngineWarmState &warm)
-    : opts_(opts), shape_(mf.config().timingShape),
+    : opts_(opts), batchSizeEdges_(batchSizeEdges(opts.maxBatch)),
+      shape_(mf.config().timingShape),
       task_(mf.runner().model().config().task),
       queue_(QueueOptions{opts.queueCapacity, opts.admission,
                           opts.admitTimeoutMs}),
@@ -310,8 +312,7 @@ InferenceEngine::finishInit(const core::MemoryFriendlyLstm &mf,
     obs_->metrics().histogram("serve.queue_ms", serveMsEdges());
     obs_->metrics().histogram("serve.batch_wait_ms", serveMsEdges());
     obs_->metrics().histogram("serve.exec_ms", serveMsEdges());
-    obs_->metrics().histogram("serve.batch_size",
-                              batchSizeEdges(opts_.maxBatch));
+    obs_->metrics().histogram("serve.batch_size", batchSizeEdges_);
     obs_->metrics().histogram("serve.twin_rebuild_ms", serveMsEdges());
     obs_->metrics().counter("serve.precision_switch_total");
 
@@ -708,7 +709,7 @@ InferenceEngine::serveBatch(std::vector<QueuedRequest> &batch,
                seen, b, std::memory_order_relaxed))
         ;
     m.counter("serve.batches").add();
-    m.histogram("serve.batch_size", batchSizeEdges(opts_.maxBatch))
+    m.histogram("serve.batch_size", batchSizeEdges_)
         .observe(static_cast<double>(b));
     m.gauge("serve.weight_dram_bytes_per_seq").set(weight_per_seq);
     m.gauge("serve.rung").set(static_cast<double>(rung));

@@ -347,6 +347,8 @@ class InferenceEngine
     void backoff(int attempt) const;
 
     Options opts_;
+    /// serve.batch_size edges 1..maxBatch, built once per engine
+    const std::vector<double> batchSizeEdges_;
     runtime::NetworkShape shape_;
     nn::TaskKind task_;
 

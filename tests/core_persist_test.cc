@@ -8,6 +8,7 @@
  * untouched.
  */
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -85,6 +86,27 @@ TEST_F(PersistTest, ModelWeightsCrcTracksWeights)
 
     c.head().b.data()[0] += 1.0f;
     EXPECT_NE(modelWeightsCrc(a), modelWeightsCrc(c));
+
+    // Pinned bytes: artifacts already on disk record this fingerprint,
+    // so any change to the parameter order or the CRC breaks them.
+    // Every parameter is overwritten with an exact pattern so the pin
+    // does not depend on the platform's initialiser arithmetic.
+    float k = 0.0f;
+    const auto fill = [&](float *data, std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i, k += 1.0f)
+            data[i] = std::fmod(k, 17.0f) * 0.125f - 1.0f;
+    };
+    fill(c.embedding().table.data(), c.embedding().table.size());
+    for (nn::LstmLayerParams &p : c.layers()) {
+        for (tensor::Matrix *m :
+             {&p.wf, &p.wi, &p.wc, &p.wo, &p.uf, &p.ui, &p.uc, &p.uo})
+            fill(m->data(), m->size());
+        for (tensor::Vector *v : {&p.bf, &p.bi, &p.bc, &p.bo})
+            fill(v->data(), v->size());
+    }
+    fill(c.head().w.data(), c.head().w.size());
+    fill(c.head().b.data(), c.head().b.size());
+    EXPECT_EQ(modelWeightsCrc(c), 2316388856u);
 }
 
 TEST_F(PersistTest, RoundTripRestoresPredictorsBitIdentically)

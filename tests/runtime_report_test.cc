@@ -28,7 +28,10 @@ TEST(Report, FormatRunMentionsKeyQuantities)
     const RunReport r = someRun();
     const std::string s = formatRunReport(r);
     EXPECT_NE(s.find("plan: baseline"), std::string::npos);
-    EXPECT_NE(s.find("wall time"), std::string::npos);
+    // The report's clock is the simulated one; it must not pose as
+    // host wall time.
+    EXPECT_NE(s.find("simulated time"), std::string::npos);
+    EXPECT_EQ(s.find("wall time"), std::string::npos);
     EXPECT_NE(s.find("DRAM traffic"), std::string::npos);
     EXPECT_NE(s.find("Sgemv"), std::string::npos);
     EXPECT_NE(s.find("energy"), std::string::npos);

@@ -135,7 +135,6 @@
 #include "obs/observer.hh"
 #include "obs/profile.hh"
 #include "obs/json.hh"
-#include "quant/serialize.hh"
 #include "runtime/report.hh"
 #include "sched/persist.hh"
 #include "serve/engine.hh"
@@ -834,9 +833,6 @@ deepVerifyArtifact(const std::string &path, std::uint32_t schema)
         break;
     case io::kSchemaEngineState:
         serve::verifyEngineStateFile(path);
-        break;
-    case io::kSchemaQuantModel:
-        quant::verifyQuantizedModelFile(path);
         break;
     case io::kSchemaTunedPlan:
         sched::verifyTunedPlanFile(path);
