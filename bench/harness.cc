@@ -163,12 +163,19 @@ makeAllApps()
 }
 
 std::unique_ptr<core::MemoryFriendlyLstm>
-makeCalibrated(const AppContext &app, const std::string &backendId)
+makeFacade(const AppContext &app, const std::string &backendId,
+           obs::Observer *obs)
 {
-    auto mf = std::make_unique<core::MemoryFriendlyLstm>(
+    return std::make_unique<core::MemoryFriendlyLstm>(
         *app.model, core::MemoryFriendlyLstm::Config{
                         hw::registry().get(backendId).config,
-                        app.spec.timingShape(), &benchObserver()});
+                        app.spec.timingShape(), obs});
+}
+
+std::unique_ptr<core::MemoryFriendlyLstm>
+makeCalibrated(const AppContext &app, const std::string &backendId)
+{
+    auto mf = makeFacade(app, backendId, &benchObserver());
     mf->calibrate(app.data.calibrationSequences(kCalibrationSeqs));
     return mf;
 }
@@ -183,6 +190,16 @@ evalAccuracy(core::MemoryFriendlyLstm &mf, const AppContext &app)
                                               app.data.cls.test);
 }
 
+core::ThresholdSet
+schemeThresholds(runtime::PlanKind kind, const core::ThresholdSet &set)
+{
+    // A plan without decisions answers uses*() from its kind alone.
+    runtime::ExecutionPlan scheme;
+    scheme.kind = kind;
+    return {scheme.usesInter() ? set.alphaInter : 0.0,
+            scheme.usesIntra() ? set.alphaIntra : 0.0, set.quant};
+}
+
 SchemeCurve
 evaluateScheme(core::MemoryFriendlyLstm &mf, const AppContext &app,
                runtime::PlanKind kind,
@@ -191,17 +208,8 @@ evaluateScheme(core::MemoryFriendlyLstm &mf, const AppContext &app,
     SchemeCurve curve;
     curve.kind = kind;
 
-    runtime::ExecutionPlan probe;
-    probe.kind = kind;
-    const bool uses_inter = probe.usesInter();
-    const bool uses_intra = probe.usesIntra();
-
     for (std::size_t i = 0; i < ladder.size(); ++i) {
-        // The quant mode rides along unconditionally: it is orthogonal
-        // to which alphas the scheme uses (DESIGN.md §12).
-        mf.setThresholds({uses_inter ? ladder[i].alphaInter : 0.0,
-                          uses_intra ? ladder[i].alphaIntra : 0.0,
-                          ladder[i].quant});
+        mf.setThresholds(schemeThresholds(kind, ladder[i]));
 
         core::OperatingPoint pt;
         pt.index = i;

@@ -102,10 +102,18 @@ AppContext makeApp(const workloads::BenchmarkSpec &spec);
 std::vector<AppContext> makeAllApps();
 
 /**
- * A calibrated facade for one app (baseline timing already run) on the
- * named hw-registry backend — "tx1" is the paper's anchor and the
- * default every existing bench keeps. @throws std::out_of_range on an
- * unknown backend id.
+ * A facade for one app (baseline timing already run, not calibrated)
+ * on the named hw-registry backend, reporting to @p obs (may be null).
+ * @throws std::out_of_range on an unknown backend id.
+ */
+std::unique_ptr<core::MemoryFriendlyLstm>
+makeFacade(const AppContext &app, const std::string &backendId,
+           obs::Observer *obs);
+
+/**
+ * makeFacade reporting to benchObserver(), plus the offline calibration
+ * over kCalibrationSeqs sequences. "tx1" is the paper's anchor and the
+ * default every existing bench keeps.
  */
 std::unique_ptr<core::MemoryFriendlyLstm>
 makeCalibrated(const AppContext &app,
@@ -123,8 +131,17 @@ struct SchemeCurve
 };
 
 /**
- * Sweep the Fig. 19 ladder for one scheme, applying only the thresholds
- * that scheme uses (inter-only schemes zero alpha_intra and vice versa).
+ * The thresholds scheme @p kind applies at @p set: inter-only schemes
+ * zero alpha_intra and vice versa. The quant mode passes through
+ * unconditionally: it is orthogonal to which alphas the scheme uses
+ * (DESIGN.md §12).
+ */
+core::ThresholdSet schemeThresholds(runtime::PlanKind kind,
+                                    const core::ThresholdSet &set);
+
+/**
+ * Sweep the Fig. 19 ladder for one scheme, applying schemeThresholds
+ * at every rung.
  */
 SchemeCurve evaluateScheme(core::MemoryFriendlyLstm &mf,
                            const AppContext &app, runtime::PlanKind kind,

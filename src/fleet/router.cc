@@ -29,6 +29,18 @@ toString(RoutingPolicy p)
     return "?";
 }
 
+std::optional<RoutingPolicy>
+parseRoutingPolicy(const std::string &s)
+{
+    for (RoutingPolicy p :
+         {RoutingPolicy::SessionAffinity, RoutingPolicy::RoundRobin,
+          RoutingPolicy::LeastLoaded}) {
+        if (s == toString(p))
+            return p;
+    }
+    return std::nullopt;
+}
+
 Router::Router(RoutingPolicy policy, std::vector<SloClass> slos,
                obs::Observer *obs)
     : policy_(policy), obs_(obs)

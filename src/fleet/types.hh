@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,6 +64,9 @@ enum class RoutingPolicy : std::uint8_t
 };
 
 const char *toString(RoutingPolicy p);
+
+/** Parse a toString() spelling; nullopt on anything else. */
+std::optional<RoutingPolicy> parseRoutingPolicy(const std::string &s);
 
 /** One fleet job: tokens plus the routing/SLO identity. */
 struct FleetRequest

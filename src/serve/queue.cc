@@ -53,6 +53,22 @@ toString(AdmissionPolicy p)
     return "?";
 }
 
+std::optional<AdmissionPolicy>
+parseAdmissionPolicy(const std::string &s)
+{
+    for (AdmissionPolicy p :
+         {AdmissionPolicy::RejectNew, AdmissionPolicy::DropOldest,
+          AdmissionPolicy::BlockWithTimeout}) {
+        if (s == toString(p))
+            return p;
+    }
+    if (s == "reject")
+        return AdmissionPolicy::RejectNew;
+    if (s == "block")
+        return AdmissionPolicy::BlockWithTimeout;
+    return std::nullopt;
+}
+
 void
 RequestQueue::admitLocked(QueuedRequest item)
 {

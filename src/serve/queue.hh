@@ -25,6 +25,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "serve/request.hh"
@@ -44,6 +46,12 @@ enum class AdmissionPolicy : std::uint8_t
 };
 
 const char *toString(AdmissionPolicy p);
+
+/**
+ * Parse an admission policy: the toString() spelling, or the short
+ * form "reject" / "block"; nullopt on anything else.
+ */
+std::optional<AdmissionPolicy> parseAdmissionPolicy(const std::string &s);
 
 struct QueueOptions
 {

@@ -33,6 +33,16 @@ healthySnaps(std::size_t n)
     return snaps;
 }
 
+TEST(Router, RoutingPolicySpellingsRoundTrip)
+{
+    for (RoutingPolicy p :
+         {RoutingPolicy::SessionAffinity, RoutingPolicy::RoundRobin,
+          RoutingPolicy::LeastLoaded})
+        EXPECT_EQ(parseRoutingPolicy(toString(p)), p) << toString(p);
+    EXPECT_EQ(parseRoutingPolicy("?"), std::nullopt);
+    EXPECT_EQ(parseRoutingPolicy("session-affinity"), std::nullopt);
+}
+
 TEST(Router, AffinityPinsAndSticks)
 {
     Router router(RoutingPolicy::SessionAffinity, {});

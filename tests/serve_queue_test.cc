@@ -133,6 +133,19 @@ TEST(RequestQueue, PopWaitWakesOnClose)
     EXPECT_FALSE(got);
 }
 
+TEST(BoundedQueue, AdmissionPolicySpellingsRoundTrip)
+{
+    for (AdmissionPolicy p :
+         {AdmissionPolicy::RejectNew, AdmissionPolicy::DropOldest,
+          AdmissionPolicy::BlockWithTimeout})
+        EXPECT_EQ(parseAdmissionPolicy(toString(p)), p) << toString(p);
+    EXPECT_EQ(parseAdmissionPolicy("reject"), AdmissionPolicy::RejectNew);
+    EXPECT_EQ(parseAdmissionPolicy("block"),
+              AdmissionPolicy::BlockWithTimeout);
+    EXPECT_EQ(parseAdmissionPolicy("?"), std::nullopt);
+    EXPECT_EQ(parseAdmissionPolicy(""), std::nullopt);
+}
+
 TEST(BoundedQueue, RejectNewBouncesTheNewItemWhenFull)
 {
     RequestQueue q({2, AdmissionPolicy::RejectNew, 5.0});
