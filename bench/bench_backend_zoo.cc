@@ -99,22 +99,16 @@ checkAnchor(const std::string &path, const BenchReport &rep,
     }
     std::ostringstream buf;
     buf << is.rdbuf();
-    const auto doc = obs::parseJson(buf.str());
-    if (!doc) {
-        std::fprintf(stderr, "error: baseline %s is not valid JSON\n",
-                     path.c_str());
-        return 1;
-    }
-    const obs::JsonValue *metrics = doc->find("metrics");
-    if (!metrics || metrics->kind != obs::JsonValue::Kind::Object) {
-        std::fprintf(stderr,
-                     "error: baseline %s has no metrics object\n",
-                     path.c_str());
+    std::string why;
+    const auto metrics = obs::readBenchMetrics(buf.str(), why);
+    if (!metrics) {
+        std::fprintf(stderr, "error: baseline %s: %s\n", path.c_str(),
+                     why.c_str());
         return 1;
     }
 
     std::size_t bad = 0, checked = 0;
-    for (const auto &[key, value] : metrics->members) {
+    for (const auto &[key, value] : *metrics) {
         if (key.rfind(prefix, 0) != 0)
             continue;
         ++checked;
@@ -129,10 +123,10 @@ checkAnchor(const std::string &path, const BenchReport &rep,
         // Byte-identical means the %.17g spellings match; comparing
         // the round-tripped doubles is the same test (obs JSON numbers
         // round-trip exactly) without string-formatting both sides.
-        if (value.number != it->second) {
+        if (value != it->second) {
             std::fprintf(stderr,
                          "anchor drift: %s baseline %.17g != %.17g\n",
-                         key.c_str(), value.number, it->second);
+                         key.c_str(), value, it->second);
             ++bad;
         }
     }

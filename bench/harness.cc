@@ -44,8 +44,8 @@ BenchReport::write() const
     }
     obs::JsonWriter w(os);
     w.beginObject();
-    w.key("schema").value(kSchema);
-    w.key("version").value(kVersion);
+    w.key("schema").value(obs::kBenchSchema);
+    w.key("version").value(obs::kBenchVersion);
     w.key("name").value(name_);
     w.key("config").beginObject();
     for (const auto &[k, v] : config_)

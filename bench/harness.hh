@@ -26,7 +26,8 @@ namespace bench {
 /**
  * Machine-readable results of one bench binary, written as
  * `BENCH_<name>.json` in the working directory under the one shared
- * schema every bench emits (and `tools/bench_diff` consumes):
+ * schema every bench emits (obs::kBenchSchema / kBenchVersion; read
+ * back only through obs::readBenchMetrics):
  *
  *   { "schema": "mflstm.bench", "version": 1, "name": "...",
  *     "config": { "<key>": "<string>", ... },
@@ -41,9 +42,6 @@ namespace bench {
 class BenchReport
 {
   public:
-    static constexpr const char *kSchema = "mflstm.bench";
-    static constexpr int kVersion = 1;
-
     explicit BenchReport(std::string name) : name_(std::move(name)) {}
 
     void config(const std::string &key, const std::string &value);

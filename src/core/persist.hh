@@ -29,7 +29,7 @@ namespace core {
 /**
  * CRC32 over every trainable parameter of @p model in a fixed order
  * (embedding, per-layer W/U/b, head): the one weight fingerprint that
- * calibration, warm-state and tuned-plan artifacts record.
+ * calibration and warm-state artifacts record.
  */
 std::uint32_t modelWeightsCrc(const nn::LstmModel &model);
 

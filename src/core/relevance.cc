@@ -58,44 +58,6 @@ LayerRelevanceContext::relevance(const nn::LstmLayerParams &params,
     return s;
 }
 
-GruRelevanceContext::GruRelevanceContext(const nn::GruLayerParams &params)
-    : dz(tensor::rowAbsSums(params.uz)), dr(tensor::rowAbsSums(params.ur)),
-      dh(tensor::rowAbsSums(params.uh))
-{}
-
-double
-GruRelevanceContext::relevance(const nn::GruLayerParams &params,
-                               const Vector &x_proj) const
-{
-    const std::size_t dim = params.hiddenSize();
-    if (x_proj.size() != 3 * dim)
-        throw std::invalid_argument("gru relevance: bad x_proj size");
-
-    // Overlap lengths are clamped at zero per gate: unlike the LSTM
-    // combination (one multiplier), the GRU form multiplies two
-    // overlaps, and a negative-times-negative artefact must not read as
-    // relevance.
-    auto overlap = [](double m, double d) {
-        const double a = 2.0 + std::min(2.0, std::fabs(m));
-        const double b =
-            std::min(2.0, 2.0 + d - std::max(2.0, std::fabs(m)));
-        return std::max(0.0, std::min(a, b));
-    };
-
-    double s = 0.0;
-    for (std::size_t j = 0; j < dim; ++j) {
-        const double sz = overlap(x_proj[j] + params.bz[j], dz[j]);
-        const double sr =
-            overlap(x_proj[dim + j] + params.br[j], dr[j]);
-        // The candidate's recurrent reach includes the reset-gated
-        // state, so the reset row sum bounds it together with U_h.
-        const double sh = overlap(x_proj[2 * dim + j] + params.bh[j],
-                                  dh[j]);
-        s += std::max(0.0, sz * (sr + sh));
-    }
-    return s;
-}
-
 std::vector<double>
 layerLinkRelevances(const nn::LstmLayerParams &params,
                     const std::vector<Vector> &x_projs)

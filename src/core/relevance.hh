@@ -18,7 +18,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "nn/gru.hh"
 #include "nn/lstm.hh"
 #include "tensor/matrix.hh"
 
@@ -63,26 +62,6 @@ layerLinkRelevances(const nn::LstmLayerParams &params,
  */
 std::vector<std::size_t>
 findBreakpoints(const std::vector<double> &relevances, double alpha_inter);
-
-/**
- * GRU adaptation of Algorithm 2 (the paper's Section II-B "simple
- * adjustment"). The GRU's update gate z plays the combined role of the
- * LSTM's forget/input pair — z pinned at 0 means h_t = h_{t-1}
- * regardless of the candidate, z pinned at 1 means the candidate
- * replaces the state — so the per-element relevance combines the
- * sensitive-area overlaps as S^j = s_z * (s_r + s_h): the update gate
- * multiplies (it gates everything), the reset and candidate paths add.
- */
-struct GruRelevanceContext
-{
-    explicit GruRelevanceContext(const nn::GruLayerParams &params);
-
-    /** S for the link into the cell with 3H projection @p x_proj. */
-    double relevance(const nn::GruLayerParams &params,
-                     const Vector &x_proj) const;
-
-    Vector dz, dr, dh;
-};
 
 /**
  * Sub-layer lengths induced by a breakpoint set over @p length cells

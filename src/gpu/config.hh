@@ -170,6 +170,9 @@ struct GpuConfig
 
     /** A roughly 2x larger mobile part for scalability studies. */
     static GpuConfig tegraX2Like();
+
+    /** Field-by-field equality; a new field joins it by construction. */
+    bool operator==(const GpuConfig &) const = default;
 };
 
 } // namespace gpu

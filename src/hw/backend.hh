@@ -10,7 +10,7 @@
  * on-chip weight SRAM that makes streamed-weight plans pointless when a
  * layer fits). Every consumer that used to hand-roll `tegraX1()` looks
  * the anchor up here instead, so the config exists in exactly one place
- * and tuned-plan / warm-state artifacts can carry a backend identity.
+ * and warm-state artifacts can carry a backend identity.
  */
 
 #ifndef MFLSTM_HW_BACKEND_HH

@@ -96,7 +96,6 @@ struct ArtifactLimits
 constexpr std::uint32_t kSchemaModel = 1;        ///< nn::LstmModel
 constexpr std::uint32_t kSchemaCalibration = 2;  ///< core calibration
 constexpr std::uint32_t kSchemaEngineState = 3;  ///< serve warm state
-constexpr std::uint32_t kSchemaTunedPlan = 5;    ///< sched tuned plan
 
 /** Four-character chunk/file tag as a little-endian u32. */
 constexpr std::uint32_t

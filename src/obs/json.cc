@@ -410,5 +410,44 @@ parseJson(const std::string &text)
     return v;
 }
 
+std::optional<std::map<std::string, double>>
+readBenchMetrics(const std::string &text, std::string &why)
+{
+    const std::optional<JsonValue> doc = parseJson(text);
+    if (!doc || doc->kind != JsonValue::Kind::Object) {
+        why = "not a JSON object";
+        return std::nullopt;
+    }
+    const JsonValue *schema = doc->find("schema");
+    const JsonValue *version = doc->find("version");
+    const JsonValue *metrics = doc->find("metrics");
+    if (!schema || schema->kind != JsonValue::Kind::String ||
+        schema->str != kBenchSchema) {
+        why = std::string("schema is not ") + kBenchSchema;
+        return std::nullopt;
+    }
+    if (!version || version->kind != JsonValue::Kind::Number ||
+        version->number != static_cast<double>(kBenchVersion)) {
+        why = "version is not " + std::to_string(kBenchVersion);
+        return std::nullopt;
+    }
+    if (!metrics || metrics->kind != JsonValue::Kind::Object) {
+        why = "no metrics object";
+        return std::nullopt;
+    }
+    std::map<std::string, double> out;
+    for (const auto &[key, value] : metrics->members) {
+        if (value.kind == JsonValue::Kind::Null) {
+            out[key] = std::nan("");
+        } else if (value.kind == JsonValue::Kind::Number) {
+            out[key] = value.number;
+        } else {
+            why = "metric " + key + " is not a number";
+            return std::nullopt;
+        }
+    }
+    return out;
+}
+
 } // namespace obs
 } // namespace mflstm

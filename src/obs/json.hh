@@ -2,8 +2,9 @@
  * @file
  * Minimal JSON support for the observability sinks: a streaming writer
  * (comma/nesting bookkeeping, string escaping, locale-independent
- * numbers) and a small recursive-descent parser used by tests to verify
- * that emitted trace/metrics files are well-formed and round-trip.
+ * numbers), a small recursive-descent parser used by tests to verify
+ * that emitted trace/metrics files are well-formed and round-trip, and
+ * the one reader of BENCH_<name>.json reports.
  */
 
 #ifndef MFLSTM_OBS_JSON_HH
@@ -11,6 +12,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -77,6 +79,20 @@ struct JsonValue
 
 /** Parse a complete JSON document; nullopt on any syntax error. */
 std::optional<JsonValue> parseJson(const std::string &text);
+
+/** Schema name and version of BENCH_<name>.json (bench::BenchReport). */
+inline constexpr const char *kBenchSchema = "mflstm.bench";
+inline constexpr std::uint64_t kBenchVersion = 1;
+
+/**
+ * The metrics of a BENCH_<name>.json report held in @p text: a null
+ * metric (a NaN the writer could not spell) reads as NaN.
+ * @return nullopt, with the reason in @p why, unless @p text is a JSON
+ * object whose `schema` is kBenchSchema, whose `version` is
+ * kBenchVersion and whose `metrics` is an object of numbers and nulls.
+ */
+std::optional<std::map<std::string, double>>
+readBenchMetrics(const std::string &text, std::string &why);
 
 } // namespace obs
 } // namespace mflstm

@@ -27,16 +27,14 @@ namespace sched {
  * Everything one tuning run needs: the preset inputs (timing shape,
  * measured per-layer statistics, calibration outputs, precision and
  * comparator fraction) plus the batch point being tuned and the search
- * knobs. Together with the GpuConfig of the executor this keys the
- * tuned-plan cache artifact.
+ * knobs. The executor supplies the GpuConfig the search scores on.
  */
 struct TuneRequest : core::PresetInputs
 {
     /**
-     * hw registry id of the backend being tuned for. Recorded in the
-     * tuned-plan artifact fingerprint so a cache written under one
-     * backend is Stale under another even before the GpuConfig byte
-     * compare runs.
+     * hw registry id of the backend being tuned for (DESIGN.md §17).
+     * The search reads its rules from the executor's GpuConfig; the id
+     * names that backend for the caller.
      */
     std::string backendId;
     /// concurrent sequences per kernel during scoring runs

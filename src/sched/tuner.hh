@@ -9,11 +9,11 @@
  * the chosen plan is never worse than the best preset on simulated
  * time *and* DRAM bytes, by construction (the best preset itself stays
  * eligible). The winner is frozen into explicit ScheduleDecisions
- * (PlanKind::Tuned), ready for the persist.hh cache artifact.
+ * (PlanKind::Tuned). A search costs milliseconds, so callers run it on
+ * demand; the serving engine's warm state keeps the plans it chose.
  *
  * Everything here is deterministic: same request + same GpuConfig →
- * the same candidate table, the same chosen plan, byte-identical
- * artifacts.
+ * the same candidate table and the same chosen plan.
  */
 
 #ifndef MFLSTM_SCHED_TUNER_HH
@@ -53,8 +53,6 @@ struct TuneResult
     double referenceDramBytes = 0.0;
     /// satisfied by construction; recorded for the report/bench gate
     bool dominatesReference = false;
-    /// true when persist.hh served this result from a cache artifact
-    bool fromCache = false;
 };
 
 /**

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
 #include <stdexcept>
 #include <utility>
 
 #include "core/persist.hh"
-#include "sched/persist.hh"
+#include "sched/tuner.hh"
 #include "serve/persist.hh"
 
 namespace mflstm {
@@ -155,12 +154,6 @@ InferenceEngine::InferenceEngine(const core::MemoryFriendlyLstm &mf,
             throw std::logic_error(
                 "InferenceEngine: Options::tunePlans needs a calibrated "
                 "facade (run calibrate() first)");
-        const std::uint32_t weights_crc =
-            core::modelWeightsCrc(mf.runner().model());
-        if (!opts_.tuneCacheDir.empty()) {
-            std::error_code ec;
-            std::filesystem::create_directories(opts_.tuneCacheDir, ec);
-        }
         for (std::size_t r = 0; r < ladder_.size(); ++r) {
             sched::TuneRequest treq;
             treq.shape = shape_;
@@ -171,15 +164,7 @@ InferenceEngine::InferenceEngine(const core::MemoryFriendlyLstm &mf,
             treq.pruneFraction = opts_.pruneFraction;
             treq.batch = opts_.maxBatch;
             treq.backendId = opts_.backendId;
-            const sched::TuneResult tuned =
-                opts_.tuneCacheDir.empty()
-                    ? sched::tune(mf.executor(), treq)
-                    : sched::tuneCached(
-                          mf.executor(), treq, weights_crc,
-                          opts_.tuneCacheDir + "/tuned_plan_rung" +
-                              std::to_string(r),
-                          {}, obs_);
-            plans_[r] = tuned.chosen.plan;
+            plans_[r] = sched::tune(mf.executor(), treq).chosen.plan;
         }
     }
 

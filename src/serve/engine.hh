@@ -93,10 +93,9 @@ class InferenceEngine
         double pruneFraction = 0.37;
         /**
          * hw registry id of the backend this engine simulates on
-         * (DESIGN.md §17). Recorded in tuned-plan fingerprints and the
-         * warm-state artifact, so a cache or warm state built under one
-         * backend is rejected as Stale under another ("" is an id like
-         * any other: it must match too).
+         * (DESIGN.md §17). Recorded in the warm-state artifact, so a
+         * warm state built under one backend is rejected as Stale under
+         * another ("" is an id like any other: it must match too).
          */
         std::string backendId;
         /**
@@ -107,12 +106,6 @@ class InferenceEngine
          * simulated time or DRAM bytes. Requires a calibrated facade.
          */
         bool tunePlans = false;
-        /**
-         * With tunePlans, a directory for tuned-plan artifacts
-         * (tuned_plan_rung<N>): hits skip the search, corrupt files
-         * are quarantined and re-tuned. Empty: tune in-memory only.
-         */
-        std::string tuneCacheDir;
         /**
          * Observability sink (latency histograms, batch spans, sim
          * counters). nullptr: the engine owns a private Observer so

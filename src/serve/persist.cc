@@ -1,9 +1,9 @@
 #include "serve/persist.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "quant/qformat.hh"
-#include "sched/persist.hh"
 
 namespace mflstm {
 namespace serve {
@@ -17,8 +17,8 @@ using io::ErrorKind;
  * The one schema version this build reads and writes (DESIGN.md §11):
  * the fingerprint carries the tuning-mode flag and the hw registry
  * backend id, and each rung plan is a u32 PlanKind followed by its
- * ScheduleDecisions in the shared plan codec (sched/persist.hh). Older
- * files are Stale: the caller quarantines them and rebuilds the state.
+ * ScheduleDecisions in the plan codec below. Older files are Stale: the
+ * caller quarantines them and rebuilds the state.
  */
 constexpr std::uint32_t kEngineSchemaVersion = 6;
 
@@ -43,6 +43,159 @@ requireFinite(double v, const char *what, const std::string &path)
 {
     if (!std::isfinite(v))
         fail(ErrorKind::NonFinite, path, std::string("non-finite ") + what);
+}
+
+// --- Plan codec -------------------------------------------------------
+// The encoding of strings, network shapes and schedule decisions. Decoding
+// bounds every field before anything allocates from it or simulates it.
+// No decoder checks for trailing bytes; callers finish the chunk with
+// expectEnd().
+
+[[noreturn]] void
+codecFail(ErrorKind kind, const std::string &msg)
+{
+    throw ArtifactError(kind, "plan codec: " + msg);
+}
+
+/// deeper than any network this repo builds, far below any allocation risk
+constexpr std::uint64_t kMaxLayers = 1024;
+
+void
+writeString(io::ByteWriter &w, const std::string &s)
+{
+    w.u8Array({reinterpret_cast<const std::int8_t *>(s.data()),
+               s.size()});
+}
+
+std::string
+readString(io::ByteReader &r)
+{
+    const std::vector<std::int8_t> raw = r.u8Array();
+    return std::string(raw.begin(), raw.end());
+}
+
+void
+writeShape(io::ByteWriter &w, const runtime::NetworkShape &shape)
+{
+    w.u64(shape.layers.size());
+    for (const runtime::LstmLayerShape &l : shape.layers) {
+        w.u64(l.inputSize);
+        w.u64(l.hiddenSize);
+        w.u64(l.length);
+    }
+}
+
+/**
+ * LimitExceeded when the layer count is zero or over 1024, or any
+ * dimension is zero or over @p limits.maxDim.
+ */
+runtime::NetworkShape
+readShape(io::ByteReader &r, const io::ArtifactLimits &limits)
+{
+    const std::uint64_t count = r.u64();
+    if (count == 0 || count > std::min(kMaxLayers, limits.maxDim))
+        codecFail(ErrorKind::LimitExceeded, "implausible layer count");
+    runtime::NetworkShape shape;
+    shape.layers.reserve(static_cast<std::size_t>(count));
+    for (std::uint64_t i = 0; i < count; ++i) {
+        const std::uint64_t in = r.u64();
+        const std::uint64_t hid = r.u64();
+        const std::uint64_t len = r.u64();
+        for (std::uint64_t dim : {in, hid, len})
+            if (dim == 0 || dim > limits.maxDim)
+                codecFail(ErrorKind::LimitExceeded,
+                          "layer dimension out of range");
+        shape.layers.push_back({static_cast<std::size_t>(in),
+                                static_cast<std::size_t>(hid),
+                                static_cast<std::size_t>(len)});
+    }
+    return shape;
+}
+
+void
+writeDecisions(io::ByteWriter &w,
+               const runtime::ScheduleDecisions &decisions)
+{
+    w.u64(decisions.layers.size());
+    for (const runtime::LayerSchedule &ls : decisions.layers) {
+        std::vector<std::uint64_t> sizes(ls.tissueSizes.begin(),
+                                         ls.tissueSizes.end());
+        w.u64Array(sizes);
+        w.u32(static_cast<std::uint32_t>(ls.skipPath));
+        w.f64(ls.skipFraction);
+        w.u32(static_cast<std::uint32_t>(ls.flagFusion));
+        w.u32(static_cast<std::uint32_t>(ls.quant));
+        w.u32(ls.prunedCsr ? 1 : 0);
+        w.f64(ls.pruneFraction);
+        w.u64(ls.batch);
+        w.u32(static_cast<std::uint32_t>(ls.residency));
+    }
+}
+
+/**
+ * One LayerSchedule per layer of @p shape. Malformed on a layer count
+ * that differs from @p shape, tissue sizes that do not sum to the layer
+ * length, an unknown enum value or decisions that fail validate();
+ * LimitExceeded on a tissue size or batch over @p limits.maxDim;
+ * NonFinite on a NaN/Inf fraction.
+ */
+runtime::ScheduleDecisions
+readDecisions(io::ByteReader &r, const runtime::NetworkShape &shape,
+              const io::ArtifactLimits &limits)
+{
+    const auto enumValue = [&](auto max, const char *what) {
+        const std::uint32_t v = r.u32();
+        if (v > static_cast<std::uint32_t>(max))
+            codecFail(ErrorKind::Malformed,
+                      std::string("unknown ") + what);
+        return static_cast<decltype(max)>(v);
+    };
+    const auto fraction = [&](const char *what) {
+        const double v = r.f64();
+        if (!std::isfinite(v))
+            codecFail(ErrorKind::NonFinite,
+                      std::string(what) + " is not finite");
+        return v;
+    };
+    const auto bounded = [&](std::uint64_t v, const char *what) {
+        if (v > limits.maxDim)
+            codecFail(ErrorKind::LimitExceeded,
+                      std::string(what) + " out of range");
+        return static_cast<std::size_t>(v);
+    };
+
+    if (r.u64() != shape.layers.size())
+        codecFail(ErrorKind::Malformed,
+                  "decision/shape layer count mismatch");
+    runtime::ScheduleDecisions decisions;
+    decisions.layers.resize(shape.layers.size());
+    for (std::size_t l = 0; l < shape.layers.size(); ++l) {
+        runtime::LayerSchedule &ls = decisions.layers[l];
+        std::size_t cells = 0;
+        for (std::uint64_t t : r.u64Array()) {
+            ls.tissueSizes.push_back(bounded(t, "tissue size"));
+            cells += ls.tissueSizes.back();
+        }
+        if (!ls.tissueSizes.empty() && cells != shape.layers[l].length)
+            codecFail(ErrorKind::Malformed,
+                      "tissue sizes do not cover the layer");
+        ls.skipPath = enumValue(runtime::SkipPath::HwCrm, "skip path");
+        ls.skipFraction = fraction("skip fraction");
+        ls.flagFusion = enumValue(runtime::FlagFusion::FusedEpilogue,
+                                  "flag fusion");
+        ls.quant = enumValue(quant::QuantMode::Int4, "quant mode");
+        ls.prunedCsr = r.u32() != 0;
+        ls.pruneFraction = fraction("prune fraction");
+        ls.batch = bounded(r.u64(), "layer batch");
+        ls.residency = enumValue(runtime::WeightResidency::Regfile,
+                                 "residency");
+    }
+    try {
+        decisions.validate();
+    } catch (const std::invalid_argument &e) {
+        codecFail(ErrorKind::Malformed, e.what());
+    }
+    return decisions;
 }
 
 runtime::PlanKind
@@ -72,12 +225,12 @@ parseState(const io::ArtifactReader &reader,
         if (tuned > 1)
             fail(ErrorKind::Malformed, path, "bad tunedPlans flag");
         state.tunedPlans = tuned != 0;
-        state.backendId = sched::readString(r);
+        state.backendId = readString(r);
         r.expectEnd();
     }
     {
         io::ByteReader r = reader.chunk(kChunkShape);
-        state.shape = sched::readShape(r, limits);
+        state.shape = readShape(r, limits);
         r.expectEnd();
     }
     {
@@ -107,7 +260,7 @@ parseState(const io::ArtifactReader &reader,
         io::ByteReader r = reader.chunk(rungPlanTag(i));
         runtime::ExecutionPlan plan;
         plan.kind = readPlanKind(r, path);
-        plan.decisions = sched::readDecisions(r, state.shape, limits);
+        plan.decisions = readDecisions(r, state.shape, limits);
         r.expectEnd();
         state.plans.push_back(std::move(plan));
     }
@@ -126,9 +279,9 @@ saveEngineState(const EngineWarmState &state, const std::string &path)
     f.u32(static_cast<std::uint32_t>(state.plan));
     f.f64(state.pruneFraction);
     f.u32(state.tunedPlans ? 1 : 0);
-    sched::writeString(f, state.backendId);
+    writeString(f, state.backendId);
 
-    sched::writeShape(w.chunk(kChunkShape), state.shape);
+    writeShape(w.chunk(kChunkShape), state.shape);
 
     io::ByteWriter &l = w.chunk(kChunkLadder);
     l.u64(state.ladder.size());
@@ -141,7 +294,7 @@ saveEngineState(const EngineWarmState &state, const std::string &path)
     for (std::size_t i = 0; i < state.plans.size(); ++i) {
         io::ByteWriter &p = w.chunk(rungPlanTag(i));
         p.u32(static_cast<std::uint32_t>(state.plans[i].kind));
-        sched::writeDecisions(p, state.plans[i].decisions);
+        writeDecisions(p, state.plans[i].decisions);
     }
 
     w.commit(path);

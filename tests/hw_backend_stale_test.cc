@@ -1,9 +1,9 @@
 /**
  * @file
- * Backend identity in persisted artifacts (DESIGN.md §17): a tuned
- * plan or engine warm state recorded under one hw backend must be
- * rejected as Stale under another — even when the GpuConfigs happen to
- * agree. An empty id is an id like any other, never a wildcard.
+ * Backend identity in persisted artifacts (DESIGN.md §17): an engine
+ * warm state recorded under one hw backend must be rejected as Stale
+ * under another — even when the GpuConfigs happen to agree. An empty
+ * id is an id like any other, never a wildcard.
  * Also locks in the governor's precision-switch instrumentation: a
  * mixed-quant ladder walk pays a visible twin rebuild, surfaced as
  * serve.precision_switch_total + serve.twin_rebuild_ms.
@@ -21,7 +21,6 @@
 
 #include "hw/backend.hh"
 #include "runtime/executor.hh"
-#include "sched/persist.hh"
 #include "serve/engine.hh"
 #include "serve/persist.hh"
 #include "tensor/rng.hh"
@@ -37,76 +36,6 @@ tmpPath(const char *tag)
             (std::string("mflstm_backend_stale_") + tag + "_" +
              std::to_string(::getpid()) + ".bin"))
         .string();
-}
-
-// --- Tuned-plan artifacts -------------------------------------------
-
-sched::TuneRequest
-smallRequest(const std::string &backendId)
-{
-    sched::TuneRequest req;
-    req.shape = runtime::NetworkShape::stacked(64, 128, 2, 20);
-    req.backendId = backendId;
-    req.mts = 4;
-    req.modelHidden = 128;
-    core::LayerApproxStats s;
-    s.sequences = 10;
-    s.links = 190;
-    s.breaks = 60;
-    s.cells = 200;
-    s.skippedRows = 0.4 * 200 * 128;
-    req.stats = {s, s};
-    return req;
-}
-
-TEST(TunedPlanBackend, WrongBackendRejectedAsStale)
-{
-    const std::string path = tmpPath("tuned");
-    const gpu::GpuConfig cfg = hw::registry().get("tx1").config;
-    const runtime::NetworkExecutor exec(cfg);
-
-    const sched::TuneRequest req = smallRequest("tx1");
-    const sched::TuneResult res = sched::tune(exec, req);
-    sched::saveTunedPlan(
-        sched::makeTunedPlanArtifact(req, 0x1234, cfg, res), path);
-
-    // Same GpuConfig bytes, different recorded backend: still Stale —
-    // the identity is part of the fingerprint, not derived from the
-    // config compare.
-    try {
-        sched::loadTunedPlan(path, cfg, smallRequest("dp4a"), 0x1234);
-        FAIL() << "tuned plan for tx1 accepted under dp4a";
-    } catch (const io::ArtifactError &e) {
-        EXPECT_EQ(e.kind(), io::ErrorKind::Stale);
-    }
-
-    // The recorded backend still loads.
-    EXPECT_NO_THROW(
-        sched::loadTunedPlan(path, cfg, smallRequest("tx1"), 0x1234));
-    std::remove(path.c_str());
-}
-
-TEST(TunedPlanBackend, EmptyBackendIdIsNoWildcard)
-{
-    // A file recorded with no backend id matches only requests with no
-    // backend id: there is no wildcard, a mismatch is Stale.
-    const std::string path = tmpPath("tuned_empty");
-    const gpu::GpuConfig cfg = hw::registry().get("tx1").config;
-    const runtime::NetworkExecutor exec(cfg);
-
-    const sched::TuneRequest req = smallRequest("");
-    const sched::TuneResult res = sched::tune(exec, req);
-    sched::saveTunedPlan(
-        sched::makeTunedPlanArtifact(req, 0x1234, cfg, res), path);
-
-    try {
-        sched::loadTunedPlan(path, cfg, smallRequest("tx1"), 0x1234);
-        FAIL() << "tuned plan without a backend id accepted under tx1";
-    } catch (const io::ArtifactError &e) {
-        EXPECT_EQ(e.kind(), io::ErrorKind::Stale);
-    }
-    EXPECT_NO_THROW(sched::loadTunedPlan(path, cfg, req, 0x1234));
-    std::remove(path.c_str());
 }
 
 // --- Engine warm state ----------------------------------------------

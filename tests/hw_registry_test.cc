@@ -14,7 +14,6 @@
 
 #include "hw/backend.hh"
 #include "runtime/executor.hh"
-#include "sched/persist.hh"
 #include "sched/tuner.hh"
 
 namespace mflstm {
@@ -43,13 +42,11 @@ TEST(Registry, LookupContract)
 
 TEST(Registry, Tx1IsBitIdenticalToTheHandRolledAnchor)
 {
-    // The dedup satellite's contract: hw::registry().get("tx1") IS the
-    // config every pre-registry caller built by hand, byte for byte
-    // (the tuned-plan staleness key, so drift would invalidate caches).
-    EXPECT_EQ(sched::serializeGpuConfig(registry().get("tx1").config),
-              sched::serializeGpuConfig(gpu::GpuConfig::tegraX1()));
-    EXPECT_EQ(sched::serializeGpuConfig(registry().get("tx2").config),
-              sched::serializeGpuConfig(gpu::GpuConfig::tegraX2Like()));
+    // hw::registry().get("tx1") IS the config every pre-registry
+    // caller built by hand, field for field (the golden traces and
+    // BENCH baselines were recorded on it).
+    EXPECT_EQ(registry().get("tx1").config, gpu::GpuConfig::tegraX1());
+    EXPECT_EQ(registry().get("tx2").config, gpu::GpuConfig::tegraX2Like());
 }
 
 TEST(Registry, CapabilityFlags)
@@ -89,10 +86,7 @@ TEST(BackendJson, EveryRegistryEntryRoundTripsBitExactly)
         EXPECT_EQ(back->kind, b.kind);
         EXPECT_EQ(back->summary, b.summary);
         EXPECT_EQ(back->revision, b.revision);
-        // GpuConfig equality through the same byte serialization the
-        // tuned-plan artifact uses as its staleness key.
-        EXPECT_EQ(sched::serializeGpuConfig(back->config),
-                  sched::serializeGpuConfig(b.config));
+        EXPECT_EQ(back->config, b.config);
     }
 }
 

@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests for the metrics registry: instrument semantics, histogram
- * bucket-edge behaviour, and the JSON dump (parsed back with the obs
- * JSON parser, not string-matched).
+ * bucket-edge behaviour, the JSON dump (parsed back with the obs
+ * JSON parser, not string-matched), and the BENCH_<name>.json reader.
  */
 
+#include <cmath>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -329,6 +330,46 @@ TEST(Metrics, PrometheusLabelEscapingRoundTrips)
         if (line.empty() || line[0] == '#')
             continue;
         EXPECT_NE(line.find(' '), std::string::npos) << line;
+    }
+}
+
+// --- BENCH_<name>.json reader -------------------------------------------
+
+TEST(BenchJson, ValidReportReadsEveryMetric)
+{
+    std::string why;
+    const auto m = readBenchMetrics(
+        R"({"schema":"mflstm.bench","version":1,"name":"x","config":{},)"
+        R"("metrics":{"a.speedup":2.5,"b_us":10,"c":null}})",
+        why);
+    ASSERT_TRUE(m.has_value()) << why;
+    ASSERT_EQ(m->size(), 3u);
+    EXPECT_EQ(m->at("a.speedup"), 2.5);
+    EXPECT_EQ(m->at("b_us"), 10.0);
+    EXPECT_TRUE(std::isnan(m->at("c")));
+}
+
+TEST(BenchJson, ForeignFutureOrMetriclessReportsRejected)
+{
+    const char *const bad[] = {
+        // wrong schema, and none at all
+        R"({"schema":"mflstm.profile","version":1,"metrics":{}})",
+        R"({"version":1,"metrics":{}})",
+        // a future version, and a version spelled as a string
+        R"({"schema":"mflstm.bench","version":2,"metrics":{}})",
+        R"({"schema":"mflstm.bench","version":"1","metrics":{}})",
+        // missing metrics, metrics not an object, a non-number metric
+        R"({"schema":"mflstm.bench","version":1})",
+        R"({"schema":"mflstm.bench","version":1,"metrics":[1,2]})",
+        R"({"schema":"mflstm.bench","version":1,"metrics":{"a":"1"}})",
+        // not an object, not JSON
+        R"([{"schema":"mflstm.bench","version":1,"metrics":{}}])",
+        "not json",
+    };
+    for (const char *text : bad) {
+        std::string why;
+        EXPECT_FALSE(readBenchMetrics(text, why).has_value()) << text;
+        EXPECT_FALSE(why.empty()) << text;
     }
 }
 

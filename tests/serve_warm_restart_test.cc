@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "core/persist.hh"
+#include "sched/tuner.hh"
 #include "serve/engine.hh"
 #include "serve/persist.hh"
 #include "tensor/rng.hh"
@@ -400,6 +401,124 @@ TEST_F(WarmRestartTest, UnknownQuantModeRejected)
     } catch (const io::ArtifactError &e) {
         EXPECT_EQ(e.kind(), io::ErrorKind::Malformed);
     }
+}
+
+// ---------------------------------------------------------------------
+// Out-of-bounds plan fields in a warm state with a valid CRC: the plan
+// codec rejects each with a typed error while parsing, before anything
+// allocates from the field or simulates it (a 2^24+1-cell layer would
+// otherwise simulate for minutes).
+
+class CraftedWarmStateTest : public ::testing::Test
+{
+  protected:
+    CraftedWarmStateTest()
+    {
+        state_.backendId = "tx1";
+        state_.tunedPlans = true;
+        state_.shape = runtime::NetworkShape::stacked(64, 128, 2, 20);
+        state_.ladder.push_back({0.1, 0.2, quant::QuantMode::Fp32});
+
+        sched::TuneRequest req;
+        req.shape = state_.shape;
+        req.backendId = state_.backendId;
+        req.mts = 4;
+        req.modelHidden = 128;
+        core::LayerApproxStats st;
+        st.sequences = 10;
+        st.links = 190;
+        st.breaks = 60;
+        st.cells = 200;
+        st.skippedRows = 0.4 * 200 * 128;
+        req.stats = {st, st};
+        const runtime::NetworkExecutor exec(gpu::GpuConfig::tegraX1());
+        state_.plans.push_back(sched::tune(exec, req).chosen.plan);
+
+        path_ = (std::filesystem::temp_directory_path() /
+                 ("mflstm_crafted_state_" + std::to_string(::getpid()) +
+                  "_" +
+                  ::testing::UnitTest::GetInstance()
+                      ->current_test_info()
+                      ->name() +
+                  ".bin"))
+                    .string();
+    }
+    ~CraftedWarmStateTest() override { std::remove(path_.c_str()); }
+
+    // The unmodified state loads, so each rejection below is caused by
+    // the one field its test breaks.
+    void SetUp() override
+    {
+        serve::saveEngineState(state_, path_);
+        ASSERT_EQ(serve::loadEngineState(path_).plans, state_.plans);
+        ASSERT_NO_THROW(serve::verifyEngineStateFile(path_));
+    }
+
+    /** Save @p state and expect both readers to reject it as @p kind. */
+    void expectRejected(const serve::EngineWarmState &state,
+                        io::ErrorKind kind)
+    {
+        serve::saveEngineState(state, path_);
+        for (const bool verify : {false, true}) {
+            try {
+                if (verify)
+                    serve::verifyEngineStateFile(path_);
+                else
+                    (void)serve::loadEngineState(path_);
+                ADD_FAILURE() << "crafted warm state accepted";
+            } catch (const io::ArtifactError &e) {
+                EXPECT_EQ(e.kind(), kind)
+                    << io::toString(e.kind()) << ": " << e.what();
+            }
+        }
+    }
+
+    runtime::LayerSchedule &layer0() { return decisions().layers[0]; }
+    runtime::ScheduleDecisions &decisions()
+    {
+        return state_.plans[0].decisions;
+    }
+
+    static constexpr std::uint64_t kOver = io::ArtifactLimits{}.maxDim + 1;
+    serve::EngineWarmState state_;
+    std::string path_;
+};
+
+TEST_F(CraftedWarmStateTest, ZeroDimensionsRejected)
+{
+    for (std::size_t field = 0; field < 3; ++field) {
+        serve::EngineWarmState state = state_;
+        runtime::LstmLayerShape &l = state.shape.layers[0];
+        (field == 0 ? l.inputSize : field == 1 ? l.hiddenSize : l.length) =
+            0;
+        expectRejected(state, io::ErrorKind::LimitExceeded);
+    }
+}
+
+TEST_F(CraftedWarmStateTest, LayerLengthOverMaxDimRejected)
+{
+    state_.shape.layers[0].length = kOver;
+    layer0().tissueSizes.clear();
+    expectRejected(state_, io::ErrorKind::LimitExceeded);
+}
+
+TEST_F(CraftedWarmStateTest, TissueSizeOverMaxDimRejected)
+{
+    layer0().tissueSizes = {kOver};
+    expectRejected(state_, io::ErrorKind::LimitExceeded);
+}
+
+TEST_F(CraftedWarmStateTest, TissuesNotCoveringTheLayerRejected)
+{
+    layer0() = {};
+    layer0().tissueSizes = {3, 3};  // layer length 20
+    expectRejected(state_, io::ErrorKind::Malformed);
+}
+
+TEST_F(CraftedWarmStateTest, BatchOverMaxDimRejected)
+{
+    layer0().batch = kOver;
+    expectRejected(state_, io::ErrorKind::LimitExceeded);
 }
 
 } // namespace

@@ -2,20 +2,24 @@
  * @file
  * Bench-report comparator: diffs two BENCH_<name>.json files (or two
  * directories of them, matched by filename) produced by the shared
- * bench::BenchReport writer, prints a per-metric delta table and gates
- * on the geometric mean of the "goodness" ratios.
+ * bench::BenchReport writer, prints a per-metric delta table and fails
+ * when any one metric regresses beyond the tolerance.
  *
  * Direction convention: a metric is lower-is-better when its dotted
  * path ends in a cost suffix (_us, _ms, _ns, _bytes, _j, _cycles,
  * _loss_pct, _overhead_pct); everything else — speedups, accuracies,
- * scores, compression factors — is higher-is-better. Each comparable
- * metric contributes the ratio current/baseline oriented so that >1
- * means "got better"; the gate trips when the geomean of those ratios
- * falls below 1 - tolerance (default 5%).
+ * scores, compression factors — is higher-is-better. A metric
+ * regresses when its ratio current/baseline, oriented so that >1 means
+ * "got better", falls below 1 - tolerance (default 5%). A metric with a
+ * finite baseline also regresses when the current value is missing or
+ * non-finite, or when a nonzero baseline crosses zero in the worse
+ * direction; a zero or non-finite baseline has no relative tolerance
+ * and is printed only. In directory mode a baseline report missing from
+ * the current directory fails the gate too.
  *
- * Exit codes (PR 1 convention):
+ * Exit codes:
  *   0  within tolerance
- *   1  geomean regression beyond tolerance
+ *   1  a metric regressed beyond tolerance, or a report is missing
  *   2  usage error, unreadable input, or schema mismatch
  */
 
@@ -46,18 +50,14 @@ usage()
         "usage: bench_diff [--tolerance-pct P] <baseline> <current>\n"
         "  <baseline>/<current>: a BENCH_*.json file, or a directory\n"
         "  of them (matched pairwise by filename)\n"
-        "  --tolerance-pct P: allowed geomean regression, default 5\n");
+        "  --tolerance-pct P: allowed per-metric regression, default 5\n");
     std::exit(2);
 }
 
-/** One parsed BENCH_<name>.json: bench name -> metric -> value. */
-struct BenchFile
-{
-    std::string name;
-    std::map<std::string, double> metrics;
-};
+/** One BENCH_<name>.json report: metric -> value. */
+using Metrics = std::map<std::string, double>;
 
-BenchFile
+Metrics
 loadBenchFile(const std::string &path)
 {
     std::ifstream is(path);
@@ -68,31 +68,14 @@ loadBenchFile(const std::string &path)
     }
     std::stringstream ss;
     ss << is.rdbuf();
-    const std::optional<obs::JsonValue> doc = obs::parseJson(ss.str());
-    if (!doc || doc->kind != obs::JsonValue::Kind::Object) {
-        std::fprintf(stderr, "bench_diff: %s is not valid JSON\n",
-                     path.c_str());
+    std::string why;
+    std::optional<Metrics> metrics = obs::readBenchMetrics(ss.str(), why);
+    if (!metrics) {
+        std::fprintf(stderr, "bench_diff: %s: %s\n", path.c_str(),
+                     why.c_str());
         std::exit(2);
     }
-    const obs::JsonValue *schema = doc->find("schema");
-    const obs::JsonValue *version = doc->find("version");
-    const obs::JsonValue *name = doc->find("name");
-    const obs::JsonValue *metrics = doc->find("metrics");
-    if (!schema || schema->str != "mflstm.bench" || !version ||
-        version->number != 1.0 || !name || !metrics ||
-        metrics->kind != obs::JsonValue::Kind::Object) {
-        std::fprintf(stderr,
-                     "bench_diff: %s is not a mflstm.bench v1 report\n",
-                     path.c_str());
-        std::exit(2);
-    }
-    BenchFile f;
-    f.name = name->str;
-    for (const auto &[key, value] : metrics->members) {
-        if (value.kind == obs::JsonValue::Kind::Number)
-            f.metrics[key] = value.number;
-    }
-    return f;
+    return std::move(*metrics);
 }
 
 /** Metric direction from the path suffix (see file comment). */
@@ -115,53 +98,64 @@ lowerIsBetter(const std::string &metric)
 
 struct DiffStats
 {
-    std::vector<double> goodnessRatios;
     std::size_t regressions = 0;
     std::size_t compared = 0;
+    std::size_t missingReports = 0;
 };
 
 void
-diffOne(const std::string &label, const BenchFile &base,
-        const BenchFile &cur, double tolerance_pct, DiffStats &stats)
+diffOne(const std::string &label, const Metrics &base,
+        const Metrics &cur, double tolerance_pct, DiffStats &stats)
 {
     std::printf("== %s ==\n", label.c_str());
     std::printf("%-44s %14s %14s %9s\n", "metric", "baseline",
                 "current", "delta");
 
     std::set<std::string> keys;
-    for (const auto &[k, v] : base.metrics)
+    for (const auto &[k, v] : base)
         keys.insert(k);
-    for (const auto &[k, v] : cur.metrics)
+    for (const auto &[k, v] : cur)
         keys.insert(k);
 
     for (const std::string &k : keys) {
-        const auto b = base.metrics.find(k);
-        const auto c = cur.metrics.find(k);
-        if (b == base.metrics.end()) {
+        const auto b = base.find(k);
+        const auto c = cur.find(k);
+        if (b == base.end()) {
             std::printf("%-44s %14s %14.6g %9s\n", k.c_str(), "-",
                         c->second, "new");
             continue;
         }
-        if (c == cur.metrics.end()) {
-            std::printf("%-44s %14.6g %14s %9s\n", k.c_str(),
-                        b->second, "-", "gone");
+        if (c == cur.end()) {
+            const bool worse = std::isfinite(b->second);
+            if (worse)
+                ++stats.regressions;
+            std::printf("%-44s %14.6g %14s %9s%s\n", k.c_str(),
+                        b->second, "-", "gone",
+                        worse ? "  <-- worse" : "");
             continue;
         }
         ++stats.compared;
         const double bv = b->second, cv = c->second;
+        const bool lower = lowerIsBetter(k);
         if (bv == 0.0 || cv == 0.0 || bv * cv < 0.0 ||
             !std::isfinite(bv) || !std::isfinite(cv)) {
-            // No meaningful ratio (zero crossing / sign flip): print
-            // but leave it out of the geomean gate.
-            std::printf("%-44s %14.6g %14.6g %9s\n", k.c_str(), bv, cv,
-                        bv == cv ? "=" : "n/a");
+            // No meaningful ratio. A finite baseline that turned
+            // non-finite, or a nonzero one that reached zero or flipped
+            // sign in the worse direction, is a regression.
+            const bool worse =
+                std::isfinite(bv) &&
+                (!std::isfinite(cv) ||
+                 (bv != 0.0 && (lower ? cv > bv : cv < bv)));
+            if (worse)
+                ++stats.regressions;
+            std::printf("%-44s %14.6g %14.6g %9s%s\n", k.c_str(), bv,
+                        cv, bv == cv ? "=" : "n/a",
+                        worse ? "  <-- worse" : "");
             continue;
         }
         const double delta_pct = 100.0 * (cv - bv) / std::fabs(bv);
-        const bool lower = lowerIsBetter(k);
         const double goodness =
             lower ? std::fabs(bv / cv) : std::fabs(cv / bv);
-        stats.goodnessRatios.push_back(goodness);
         const bool worse = goodness < 1.0 - tolerance_pct / 100.0;
         if (worse)
             ++stats.regressions;
@@ -169,17 +163,6 @@ diffOne(const std::string &label, const BenchFile &base,
                     cv, delta_pct, worse ? "  <-- worse" : "");
     }
     std::printf("\n");
-}
-
-double
-geomean(const std::vector<double> &xs)
-{
-    if (xs.empty())
-        return 1.0;
-    double acc = 0.0;
-    for (double x : xs)
-        acc += std::log(x);
-    return std::exp(acc / static_cast<double>(xs.size()));
 }
 
 /** BENCH_*.json files directly inside @p dir, sorted by filename. */
@@ -251,6 +234,7 @@ main(int argc, char **argv)
                 std::fprintf(stderr,
                              "bench_diff: %s only in baseline dir\n",
                              fn.c_str());
+                ++stats.missingReports;
                 continue;
             }
             ++matched;
@@ -273,17 +257,18 @@ main(int argc, char **argv)
         }
     }
 
-    const double gm = geomean(stats.goodnessRatios);
-    const bool gate = gm < 1.0 - tolerance_pct / 100.0;
-    std::printf("%zu metrics compared, %zu beyond tolerance; goodness "
-                "geomean %.4f (gate: < %.4f fails)\n",
-                stats.compared, stats.regressions, gm,
-                1.0 - tolerance_pct / 100.0);
-    if (gate) {
-        std::printf("REGRESSION: geomean worsened by more than %.1f%%\n",
-                    tolerance_pct);
+    std::printf("%zu metrics compared, %zu beyond tolerance (%.1f%%)\n",
+                stats.compared, stats.regressions, tolerance_pct);
+    if (stats.regressions)
+        std::printf("REGRESSION: %zu metric(s) worsened by more than "
+                    "%.1f%%\n",
+                    stats.regressions, tolerance_pct);
+    if (stats.missingReports)
+        std::printf("REGRESSION: %zu baseline report(s) missing from "
+                    "the current directory\n",
+                    stats.missingReports);
+    if (stats.regressions || stats.missingReports)
         return 1;
-    }
     std::printf("OK\n");
     return 0;
 }

@@ -11,8 +11,8 @@
  *   mts   --app NAME             the Fig. 9 tissue-size sweep
  *   profile --app NAME [options] byte-ledger attribution profile
  *                                (DESIGN.md §13)
- *   tune  --app NAME [options]   search per-layer schedules and cache
- *                                the dominating plan (DESIGN.md §14)
+ *   tune  --app NAME [options]   search per-layer schedules for the
+ *                                dominating plan (DESIGN.md §14)
  *   serve --app NAME [options]   batched serving demo (DESIGN.md §9)
  *   fleet --app NAME [options]   replicated serving with failover and
  *                                a deterministic chaos schedule
@@ -55,7 +55,7 @@
 #include "obs/profile.hh"
 #include "obs/json.hh"
 #include "runtime/report.hh"
-#include "sched/persist.hh"
+#include "sched/tuner.hh"
 #include "serve/engine.hh"
 #include "serve/persist.hh"
 
@@ -106,9 +106,6 @@ struct Options
     bool failover = true;
     std::size_t ticks = 16;
     std::string storeDir = "mflstm_fleet_store";
-
-    // tune
-    bool forceTune = false;
 
     // fsck
     std::string cacheDir = "mflstm_model_cache";
@@ -489,29 +486,16 @@ cmdTune(const Options &opt)
     treq.modelHidden = mf.runner().model().config().hiddenSize;
     treq.quant = opt.quantMode;
     treq.batch = opt.batch;
-    const std::uint32_t weights_crc =
-        core::modelWeightsCrc(mf.runner().model());
-
-    std::error_code ec;
-    std::filesystem::create_directories(opt.cacheDir, ec);
-    const std::string cachePath =
-        opt.cacheDir + "/tuned_plan_" + opt.app + "_" + opt.backend +
-        "_" + quant::toString(opt.quantMode) + "_set" +
-        std::to_string(rung) + ".bin";
 
     sched::TuneResult res;
     {
         auto ph = obs::Observer::phase(b.obs, "tune");
-        res = sched::tuneCached(mf.executor(), treq, weights_crc,
-                                cachePath, {}, b.obs, opt.forceTune);
+        res = sched::tune(mf.executor(), treq);
     }
 
-    std::printf("%s on %s (threshold set %zu, weights %s, batch %zu)\n",
+    std::printf("%s on %s (threshold set %zu, weights %s, batch %zu)\n\n",
                 opt.app.c_str(), mf.executor().config().name.c_str(),
                 rung, quant::toString(opt.quantMode), treq.batch);
-    std::printf("tuned plan cache: %s (%s)\n\n", cachePath.c_str(),
-                res.fromCache ? "hit, search skipped"
-                              : "miss, searched");
 
     std::printf("%-22s %12s %12s\n", "candidate", "time (ms)",
                 "DRAM (MB)");
@@ -540,14 +524,13 @@ cmdTune(const Options &opt)
         obs::JsonWriter w(os);
         w.beginObject();
         w.key("schema").value("mflstm.tune");
-        w.key("version").value(std::uint64_t{1});
+        w.key("version").value(std::uint64_t{2});
         w.key("app").value(opt.app);
         w.key("backend").value(opt.backend);
         w.key("gpu").value(mf.executor().config().name);
         w.key("quant").value(quant::toString(opt.quantMode));
         w.key("batch").value(static_cast<std::uint64_t>(treq.batch));
         w.key("set").value(static_cast<std::uint64_t>(rung));
-        w.key("from_cache").value(res.fromCache);
         // The label/time/bytes fields of an open candidate object.
         const auto point = [&w](const std::string &label, double timeUs,
                                 double dramBytes) {
@@ -601,9 +584,6 @@ deepVerifyArtifact(const std::string &path, std::uint32_t schema)
         break;
     case io::kSchemaEngineState:
         serve::verifyEngineStateFile(path);
-        break;
-    case io::kSchemaTunedPlan:
-        sched::verifyTunedPlanFile(path);
         break;
     default:
         throw io::ArtifactError(io::ErrorKind::BadSchema,
@@ -753,7 +733,6 @@ cmdServe(const Options &opt)
     eopts.admission = opt.admission;
     eopts.admitTimeoutMs = opt.admitTimeoutMs;
     eopts.tunePlans = opt.tuned;
-    eopts.tuneCacheDir = opt.stateDir;
 
     // Must outlive the engine (workers consult it per batch/request).
     std::optional<serve::ProbabilisticFaultInjector> injector;
@@ -1215,11 +1194,8 @@ flagTable()
              "beyond --tolerance-pct exit 1"},
             {kProfile, "--tolerance-pct X", finite(&Options::tolerancePct),
              "regression threshold, percent (default 0.1)"},
-            {kTune | kFsck, "--cache-dir DIR", text(&Options::cacheDir),
-             "tuned-plan cache (tune), directory to verify\n"
-             "(fsck); default mflstm_model_cache"},
-            {kTune, "--force", setTo(&Options::forceTune, true),
-             "ignore (and rewrite) the cached plan"},
+            {kFsck, "--cache-dir DIR", text(&Options::cacheDir),
+             "directory to verify (default mflstm_model_cache)"},
 
             {kServe, "--tuned", setTo(&Options::tuned, true),
              "serve sched-searched plans per rung"},
